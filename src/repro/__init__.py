@@ -15,58 +15,39 @@ Typical entry points:
 
 See README.md for the architecture tour, DESIGN.md for the paper-to-module
 mapping, and EXPERIMENTS.md for paper-vs-measured results.
+
+The names below load on first access (PEP 562), so ``import repro`` costs
+nothing until one is used.
 """
 
-from repro._version import __version__
-from repro.config import SimScale, paper, small, tiny
-from repro.core.compiler import compile_program
-from repro.core.runtime.policies import VERSIONS, VersionConfig
-from repro.experiments.harness import (
-    MultiprogramResult,
-    interactive_alone,
-    run_multiprogram,
-    run_version_suite,
-)
-from repro.experiments.runner import run_specs, spec_key
-from repro.kernel import Kernel
-from repro.machine import (
-    ExperimentResult,
-    ExperimentSpec,
-    Machine,
-    StepBudgetExceeded,
-    WorkloadProcessSpec,
-    run_experiment,
-)
-from repro.obs import Bus, MetricsAggregator, TraceRecorder
-from repro.sim.engine import Engine
-from repro.workloads import BENCHMARKS, benchmark
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BENCHMARKS",
-    "Bus",
-    "Engine",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "Kernel",
-    "Machine",
-    "MetricsAggregator",
-    "MultiprogramResult",
-    "SimScale",
-    "StepBudgetExceeded",
-    "TraceRecorder",
-    "VERSIONS",
-    "VersionConfig",
-    "WorkloadProcessSpec",
-    "__version__",
-    "benchmark",
-    "compile_program",
-    "interactive_alone",
-    "paper",
-    "run_experiment",
-    "run_multiprogram",
-    "run_specs",
-    "run_version_suite",
-    "small",
-    "spec_key",
-    "tiny",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro._version": ("__version__",),
+        "repro.config": ("SimScale", "paper", "small", "tiny"),
+        "repro.core.compiler": ("compile_program",),
+        "repro.core.runtime.policies": ("VERSIONS", "VersionConfig"),
+        "repro.experiments.harness": (
+            "MultiprogramResult",
+            "interactive_alone",
+            "run_multiprogram",
+            "run_version_suite",
+        ),
+        "repro.experiments.runner": ("run_specs", "spec_key"),
+        "repro.kernel": ("Kernel",),
+        "repro.machine": (
+            "ExperimentResult",
+            "ExperimentSpec",
+            "Machine",
+            "StepBudgetExceeded",
+            "WorkloadProcessSpec",
+            "run_experiment",
+        ),
+        "repro.obs": ("Bus", "MetricsAggregator", "TraceRecorder"),
+        "repro.sim.engine": ("Engine",),
+        "repro.workloads": ("BENCHMARKS", "benchmark"),
+    },
+)

@@ -9,11 +9,15 @@ is written.
 
 ``repro --version`` and the service's ``/v1/healthz`` both report this
 value, which is how a client discovers what code produced its results.
+It is detected on first access to ``__version__`` (or the first
+:func:`detect_version` call), so a process that never asks does not
+import :mod:`importlib.metadata`.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from pathlib import Path
 
 __all__ = ["__version__", "detect_version"]
@@ -45,9 +49,13 @@ def _from_pyproject() -> str:
     return match.group(1) if match else ""
 
 
+@lru_cache(maxsize=None)
 def detect_version() -> str:
     """The package version: installed metadata first, pyproject fallback."""
     return _from_metadata() or _from_pyproject() or _FALLBACK
 
 
-__version__ = detect_version()
+def __getattr__(name: str) -> str:
+    if name == "__version__":
+        return detect_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

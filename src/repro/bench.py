@@ -21,28 +21,26 @@ Throughput metrics reported per case:
 
 ``repro bench`` is the CLI front-end; ``benchmarks/perf`` holds the
 committed baseline and a smoke test.
+
+Every ``repro run --digest``, sweep and service job hashes
+:func:`serialize_result` from this module, so the measuring machinery
+(profilers, subprocesses, the experiment harness) is imported inside the
+functions that use it, not here.
 """
 
 from __future__ import annotations
 
-import cProfile
 import gc
 import io
 import json
 import os
-import platform
-import pstats
-import resource
-import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.config import small, tiny
-from repro.experiments.harness import multiprogram_spec
 from repro.ioutil import atomic_write_json
 from repro.machine import (
     INTERACTIVE,
@@ -69,6 +67,13 @@ __all__ = [
 
 #: Workload ordering shared by the grid cases (Figure 7's order).
 WORKLOAD_ORDER = ["EMBAR", "MATVEC", "BUK", "CGM", "MGRID", "FFTPDE"]
+
+
+def multiprogram_spec(*args, **kwargs) -> ExperimentSpec:
+    """:func:`repro.experiments.harness.multiprogram_spec`, imported on use."""
+    from repro.experiments.harness import multiprogram_spec
+
+    return multiprogram_spec(*args, **kwargs)
 
 
 def _standard_mix() -> List[ExperimentSpec]:
@@ -163,6 +168,9 @@ class BenchRecord:
 
 def machine_metadata() -> Dict[str, object]:
     """Host/commit context so BENCH records are comparable over time."""
+    import platform
+    import subprocess
+
     try:
         commit = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -208,6 +216,13 @@ def _peak_rss_kb() -> Optional[int]:
     return None
 
 
+def _ru_maxrss_kb() -> int:
+    """The process-lifetime peak RSS in KiB: the fallback without ``/proc``."""
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 class _RssMeter:
     """Per-case peak-RSS and allocator sampling.
 
@@ -231,14 +246,14 @@ class _RssMeter:
         base_kb = _peak_rss_kb() if self._hwm else None
         if base_kb is None:
             self._hwm = False
-            base_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            base_kb = _ru_maxrss_kb()
         self._base_kb = base_kb
 
     def finish(self) -> tuple:
         """Returns ``(peak_rss_mb, alloc_meta)`` for the case window."""
         peak_kb = _peak_rss_kb() if self._hwm else None
         if peak_kb is None:
-            peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            peak_kb = _ru_maxrss_kb()
         gc_after = [s["collections"] for s in gc.get_stats()]
         alloc = {
             "rss_sampler": "vmhwm" if self._hwm else "ru_maxrss",
@@ -289,6 +304,9 @@ def _lane_meta(
 
 
 def _profile_call(fn: Callable[[], object], profile_top: int) -> str:
+    import cProfile
+    import pstats
+
     profiler = cProfile.Profile()
     profiler.enable()
     fn()
@@ -323,6 +341,8 @@ def _replay_standard_mix(
       streams, and it beats re-execution by well over the 1.5x the trace
       subsystem promises (``check_speedup_vs_reexec`` in meta).
     """
+    import tempfile
+
     from repro.trace.analyze import verify_bytes_against_code
     from repro.trace.record import record_experiment
     from repro.trace.workload import trace_process_spec
@@ -669,15 +689,9 @@ def run_case(
     peak_rss_mb, alloc_meta = meter.finish()
     profile_text = None
     if profile:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        for spec in specs:
-            run_experiment(spec)
-        profiler.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(profile_top)
-        profile_text = buffer.getvalue()
+        profile_text = _profile_call(
+            lambda: [run_experiment(spec) for spec in specs], profile_top
+        )
     record = BenchRecord(
         name=name,
         wall_s=round(best, 4),

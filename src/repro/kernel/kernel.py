@@ -122,8 +122,11 @@ class KernelProcess:
         vpn = start
         end = start + count
         pending = self.pending_user
-        if mode == fastlane.LANE_NUMPY and count >= fastlane.NUMPY_MIN_RUN:
-            np = fastlane.np
+        if (
+            mode == fastlane.LANE_NUMPY
+            and count >= fastlane.NUMPY_MIN_RUN
+            and fastlane.load_numpy() is not None
+        ):
             touch_run = self.kernel.vm.touch_run
             touch_fast = self._touch_fast
             charge_plan = fastlane.charge_plan

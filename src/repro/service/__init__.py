@@ -22,26 +22,19 @@ a shared experiment facility:
   share one code path.
 
 No dependency beyond the standard library.
+
+The names below load on first access (PEP 562), so ``repro run --scenario``
+can use :func:`run_direct` without importing the HTTP server or client.
 """
 
-from repro.service.jobs import (
-    JobChaos,
-    JobError,
-    JobManager,
-    JobRecord,
-    run_direct,
-)
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ExperimentServer, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentServer",
-    "JobChaos",
-    "JobError",
-    "JobManager",
-    "JobRecord",
-    "ServiceClient",
-    "ServiceError",
-    "run_direct",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.service.jobs": ("JobChaos", "JobError", "JobManager", "JobRecord", "run_direct"),
+        "repro.service.client": ("ServiceClient", "ServiceError"),
+        "repro.service.server": ("ExperimentServer", "serve"),
+    },
+)

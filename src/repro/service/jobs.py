@@ -260,6 +260,9 @@ class JobManager:
         self._terminal = threading.Condition(self._mu)
         self._jobs: Dict[str, JobRecord] = {}
         self._specs: Dict[str, Tuple[ExperimentSpec, ...]] = {}
+        # One clock per job, started at submit and again at adoption: the
+        # ``t`` of a job's events is seconds since then.
+        self._clocks: Dict[str, WallClock] = {}
         self._ids = itertools.count(1)
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._locks = _KeyLocks()
@@ -320,6 +323,7 @@ class JobManager:
         keys = tuple(spec_key(spec) for spec in compiled.specs)
         with self._mu:
             job_id = f"j-{next(self._ids):06d}"
+            self._clocks[job_id] = WallClock()
             record = JobRecord(
                 id=job_id,
                 name=compiled.name,
@@ -496,6 +500,7 @@ class JobManager:
             if not self._load_specs(job_id):
                 continue
             self._journal({"event": "job", "id": job_id, "status": "adopted"})
+            self._clocks[job_id] = WallClock()
             self._emit(job_id, "job.adopted", {"prior_specs": len(record.outcomes)})
             self._queue.put(job_id)
 
@@ -722,12 +727,15 @@ class JobManager:
         append_journal_line(self.journal_path, entry, fsync=self._fsync)
 
     def _emit(self, job_id: str, kind: str, payload: Dict[str, object]) -> None:
-        """Append one lifecycle event to the job's events.jsonl."""
+        """Append one lifecycle event to the job's events.jsonl.
+
+        Its ``t`` is seconds since the job was submitted (or adopted).
+        """
         path = self.jobs_dir / job_id / "events.jsonl"
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = dict(payload)
         entry["job"] = job_id
         try:
-            Bus(WallClock(), [JsonlSink(path)]).emit(kind, entry)
+            Bus(self._clocks[job_id], [JsonlSink(path)]).emit(kind, entry)
         except OSError:
             pass  # events are best-effort observability, never correctness

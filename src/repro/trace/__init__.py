@@ -18,60 +18,42 @@ stream a durable form:
   traces become runnable workloads.
 
 ``repro trace record|replay|info|diff|import`` is the CLI front-end.
+
+The names below load on first access (PEP 562): replaying a trace inside
+a mix does not import the diff and statistics code.
 """
 
-from repro.trace.analyze import (
-    TraceDiff,
-    diff_traces,
-    format_diff,
-    format_info,
-    regenerate_ops,
-    trace_info,
-    verify_against_code,
-)
-from repro.trace.format import (
-    TRACE_FORMAT_VERSION,
-    TraceChecksumError,
-    TraceError,
-    TraceFormatError,
-    TraceHeader,
-    TraceReader,
-    TraceTruncatedError,
-    TraceWriter,
-    file_digest,
-    read_header,
-    read_trace,
-    write_trace,
-)
-from repro.trace.importer import TraceImportError, import_text
-from repro.trace.record import TraceCaptureSink, record_experiment
-from repro.trace.workload import TraceWorkload, replay_driver, trace_process_spec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TRACE_FORMAT_VERSION",
-    "TraceCaptureSink",
-    "TraceChecksumError",
-    "TraceDiff",
-    "TraceError",
-    "TraceFormatError",
-    "TraceHeader",
-    "TraceImportError",
-    "TraceReader",
-    "TraceTruncatedError",
-    "TraceWorkload",
-    "TraceWriter",
-    "diff_traces",
-    "file_digest",
-    "format_diff",
-    "format_info",
-    "import_text",
-    "read_header",
-    "read_trace",
-    "record_experiment",
-    "regenerate_ops",
-    "replay_driver",
-    "trace_info",
-    "trace_process_spec",
-    "verify_against_code",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.trace.analyze": (
+            "TraceDiff",
+            "diff_traces",
+            "format_diff",
+            "format_info",
+            "regenerate_ops",
+            "trace_info",
+            "verify_against_code",
+        ),
+        "repro.trace.format": (
+            "TRACE_FORMAT_VERSION",
+            "TraceChecksumError",
+            "TraceError",
+            "TraceFormatError",
+            "TraceHeader",
+            "TraceReader",
+            "TraceTruncatedError",
+            "TraceWriter",
+            "file_digest",
+            "read_header",
+            "read_trace",
+            "write_trace",
+        ),
+        "repro.trace.importer": ("TraceImportError", "import_text"),
+        "repro.trace.record": ("TraceCaptureSink", "record_experiment"),
+        "repro.trace.workload": ("TraceWorkload", "replay_driver", "trace_process_spec"),
+    },
+)

@@ -21,10 +21,13 @@ Lane selection:
 
 - ``REPRO_FAST_LANE=0`` (or ``off``/``false``) disables the lane: drivers
   fall back to the historical per-page ``touch_fast`` loop.
-- With the lane on, NumPy is used when importable and the run is long
+- With the lane on, NumPy is used when installed and the run is long
   enough to amortise array setup (:data:`NUMPY_MIN_RUN`); otherwise a
   tight pure-Python slice scan runs.  ``pip install repro[fast]`` pulls
   NumPy in; without it the pure lane is the permanent fallback.
+- NumPy is imported by the first run of at least :data:`NUMPY_MIN_RUN`
+  pages (:func:`load_numpy`), not when this module loads: a process whose
+  runs are all short or hinted never pays for it.
 
 Everything here is trajectory-neutral by construction: resident touches
 emit no events, flush boundaries are computed with bit-identical float
@@ -37,7 +40,8 @@ suite hold the lane to byte identity with the per-page path.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from importlib.util import find_spec
+from typing import List
 
 __all__ = [
     "COUNTERS",
@@ -48,6 +52,7 @@ __all__ = [
     "charge_plan",
     "lane_mode",
     "lane_name",
+    "load_numpy",
     "refresh_from_env",
     "reset_counters",
     "snapshot_counters",
@@ -64,10 +69,26 @@ _LANE_NAMES = {LANE_OFF: "off", LANE_PURE: "pure", LANE_NUMPY: "numpy"}
 #: measured crossover on CPython 3.11 is ~32-48 pages.
 NUMPY_MIN_RUN = 48
 
-try:  # optional: the repro[fast] extra
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    np = None  # type: ignore[assignment]
+#: ``np`` before the first bulk run: NumPy is installed but not imported.
+_UNLOADED = object()
+
+#: NumPy once :func:`load_numpy` has imported it, ``_UNLOADED`` before
+#: that, None when it is not installed (the optional repro[fast] extra).
+#: Tests set it to None to force the pure lane.
+np = _UNLOADED if find_spec("numpy") is not None else None
+
+
+def load_numpy():
+    """NumPy, imported on the first call; None when the lane has none."""
+    global np
+    if np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - a broken installation
+            numpy = None
+        np = numpy
+    return np
+
 
 #: Process-wide lane telemetry (bench reads deltas around a case; nothing
 #: here feeds serialized results, so the counters can never perturb the
@@ -133,12 +154,13 @@ def touch_segment(
     effect — and the first miss stops the scan with the frame untouched.
     Returns the hit count.
     """
-    if use_numpy and np is not None and len(seg) >= NUMPY_MIN_RUN:
-        idx = np.array(seg, dtype=np.intp)
+    numpy = load_numpy() if use_numpy and len(seg) >= NUMPY_MIN_RUN else None
+    if numpy is not None:
+        idx = numpy.array(seg, dtype=numpy.intp)
         # Gather the flags words at C speed; unmapped (-1) entries wrap to
         # flags[-1], which is harmless because the mapped test cuts the
         # prefix off at the first negative index anyway.
-        words = np.array(list(map(flags.__getitem__, seg)), dtype=np.int64)
+        words = numpy.array(list(map(flags.__getitem__, seg)), dtype=numpy.int64)
         ok = (idx >= 0) & ((words & valid_mask) == valid_value)
         hits = len(seg) if bool(ok.all()) else int(ok.argmin())
         if hits:
@@ -173,10 +195,11 @@ def charge_plan(
     sequential Python adds), and ``m`` is the index of the first add whose
     checkpoint crosses (``m >= 2n`` when none does).  Requires NumPy.
     """
-    full = np.empty(2 * n + 1, dtype=np.float64)
+    numpy = load_numpy()
+    full = numpy.empty(2 * n + 1, dtype=numpy.float64)
     full[0] = pending
     full[1::2] = s
     full[2::2] = r
-    cum = np.cumsum(full)
-    m = int(np.searchsorted(cum[1:], quantum, side="left"))
+    cum = numpy.cumsum(full)
+    m = int(numpy.searchsorted(cum[1:], quantum, side="left"))
     return cum, m

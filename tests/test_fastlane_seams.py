@@ -13,13 +13,20 @@ seams where that could break:
   corruption a fault plan's reclaim pressure produces) and the bulk path
   must split, fault, and resume exactly like the per-page loop;
 - whole experiments and trace replays against the frozen golden digests
-  under every lane mode, with and without an active fault plan.
+  under every lane mode, with and without an active fault plan;
+- the lazy NumPy import: the lane reports NumPy before importing it, and
+  the import happens at the first run long enough to use it.
 """
 
 import hashlib
+import importlib.util
 import os
 import random
+import subprocess
+import sys
+import textwrap
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +159,54 @@ class TestTouchSegmentProperty:
             crossings = [i for i in range(1, 2 * n + 1) if seq[i] >= quantum]
             expected_m = crossings[0] - 1 if crossings else 2 * n
             assert m == expected_m
+
+
+class TestLazyNumpy:
+    """NumPy is imported by the first bulk run, not by the lane module."""
+
+    def _fresh(self, body):
+        if importlib.util.find_spec("numpy") is None:
+            pytest.skip("numpy not installed")
+        src = str(Path(fastlane.__file__).resolve().parents[2])
+        env = dict(os.environ, REPRO_FAST_LANE="1")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = "import sys\nfrom repro.vm import fastlane\n" + textwrap.dedent(body)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_primitive_imports_numpy_at_first_long_run(self):
+        self._fresh(
+            f"""
+            from repro.vm.frames import F_REFERENCED, F_SW_VALID
+            assert "numpy" not in sys.modules
+            assert fastlane.lane_mode() == fastlane.LANE_NUMPY
+            n = fastlane.NUMPY_MIN_RUN
+            flags = [F_SW_VALID] * n
+            short = fastlane.touch_segment(
+                list(range(n - 1)), flags, {_MASK}, F_SW_VALID, F_REFERENCED, True
+            )
+            assert short == n - 1 and "numpy" not in sys.modules
+            hits = fastlane.touch_segment(
+                list(range(n)), flags, {_MASK}, F_SW_VALID, F_REFERENCED, True
+            )
+            assert hits == n and "numpy" in sys.modules
+            """
+        )
+
+    def test_simulation_imports_numpy_only_for_bulk_runs(self):
+        self._fresh(
+            """
+            from repro.config import tiny
+            from repro.experiments.harness import multiprogram_spec
+            from repro.machine import run_experiment
+            run_experiment(multiprogram_spec(tiny(), "MATVEC", "R"))  # hinted: no runs
+            assert fastlane.COUNTERS["runs"] == 0 and "numpy" not in sys.modules
+            run_experiment(multiprogram_spec(tiny(), "EMBAR", "O"))
+            assert fastlane.COUNTERS["runs"] > 0 and "numpy" in sys.modules
+            """
+        )
 
 
 class TestTouchRunEquivalence:

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -126,6 +127,31 @@ class TestRestartAdoption:
         manager = JobManager(tmp_path / "state")
         with pytest.raises(JobError, match="unknown job"):
             manager.job("j-999999")
+
+
+class TestEventClock:
+    def test_event_times_count_from_submit(self, tmp_path):
+        """Each job's events share one clock started at submit, so ``t``
+        grows through the lifecycle and covers the time the job waited."""
+        manager = JobManager(tmp_path / "state", workers=1)
+        snap = manager.submit(document=dict(MATVEC_DOC))  # queued: no workers yet
+        submitted = time.monotonic()
+        time.sleep(0.05)
+        queued_for = time.monotonic() - submitted
+        with manager:
+            assert manager.wait(snap["id"], timeout=180).status == "done"
+            path = manager.events_path(snap["id"])
+            for _ in range(100):  # job.finished lands just after the wait
+                events = {
+                    entry["kind"]: entry["t"]
+                    for entry in map(json.loads, path.read_text().splitlines())
+                }
+                if "job.finished" in events:
+                    break
+                time.sleep(0.05)
+        assert events["job.submitted"] < events["job.start"] < events["job.finished"]
+        assert events["job.start"] >= queued_for
+        assert events["job.finished"] >= queued_for
 
 
 class TestHTTP:
