@@ -497,10 +497,12 @@ class JobManager:
             record = self._jobs[job_id]
             if record.terminal:
                 continue
+            # The clock starts before the reload: a lost scenario document
+            # finishes the job as failed, and that emits an event too.
+            self._clocks[job_id] = WallClock()
             if not self._load_specs(job_id):
                 continue
             self._journal({"event": "job", "id": job_id, "status": "adopted"})
-            self._clocks[job_id] = WallClock()
             self._emit(job_id, "job.adopted", {"prior_specs": len(record.outcomes)})
             self._queue.put(job_id)
 

@@ -35,7 +35,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from repro._version import detect_version
+from repro._version import __version__
 from repro.experiments.report import format_process_table
 from repro.experiments.runner import load_cached
 from repro.ioutil import atomic_write_json
@@ -49,10 +49,7 @@ _MAX_BODY = 4 * 1024 * 1024  # a scenario document has no business being larger
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.0"  # connection close delimits streamed bodies
-
-    @property
-    def server_version(self) -> str:
-        return f"repro/{detect_version()}"
+    server_version = f"repro/{__version__}"
 
     # The owning ExperimentServer injects itself on the server object.
     @property
@@ -123,7 +120,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [part for part in parsed.path.split("/") if part]
         if parts == ["v1", "healthz"]:
             self._send_json(
-                200, {"status": "ok", "version": detect_version(), "jobs": self.manager.stats()}
+                200, {"status": "ok", "version": __version__, "jobs": self.manager.stats()}
             )
         elif parts == ["v1", "scenarios"]:
             self._send_json(200, {"scenarios": self.manager.registry.entries()})
@@ -302,7 +299,7 @@ class ExperimentServer:
                 "host": self.address[0],
                 "port": self.address[1],
                 "pid": os.getpid(),
-                "version": detect_version(),
+                "version": __version__,
             },
         )
         self._thread = threading.Thread(
@@ -360,7 +357,7 @@ def serve(
             signal.signal(signum, lambda *_args: stop_event.set())
     server.start()
     if echo is not None:
-        echo(f"repro service v{detect_version()} listening on {server.url}")
+        echo(f"repro service v{__version__} listening on {server.url}")
         echo(f"state: {server.state_dir}  (discovery: {server.state_dir / 'server.json'})")
     try:
         stop_event.wait()

@@ -123,6 +123,22 @@ class TestRestartAdoption:
         assert record.digest == done.digest
         assert not record.adopted  # finished jobs are recalled, not re-run
 
+    def test_lost_scenario_document_fails_the_job(self, tmp_path):
+        """A queued job whose scenario.json is gone is marked failed on
+        restart; the manager still starts and records job.finished."""
+        state = tmp_path / "state"
+        snap = JobManager(state).submit(document=dict(MATVEC_DOC))  # never started
+        (state / "jobs" / snap["id"] / "scenario.json").unlink()
+        revived = JobManager(state, workers=1)
+        record = revived.job(snap["id"])
+        assert record.status == "failed"
+        assert "unrecoverable" in record.error
+        kinds = [
+            json.loads(line)["kind"]
+            for line in revived.events_path(snap["id"]).read_text().splitlines()
+        ]
+        assert kinds == ["job.submitted", "job.finished"]
+
     def test_unknown_job_raises(self, tmp_path):
         manager = JobManager(tmp_path / "state")
         with pytest.raises(JobError, match="unknown job"):
