@@ -3,14 +3,13 @@
 
 Three phases, all under a dispatcher peak-RSS budget:
 
-1. **Grid parity** — a real experiment grid runs three ways: serial
-   (``jobs=1``), through the warm pool, and through the legacy
-   per-grid executor (``REPRO_POOL=0``).  Every result must serialize
-   byte-identically across all three.
+1. **Grid parity** — a real experiment grid runs serially (``jobs=1``,
+   the reference) and through the warm pool.  Every result must
+   serialize byte-identically.
 2. **Sweep scale** — a 1k-spec synthetic sweep (successes *and*
-   failures) runs inline, then sharded with batched dispatch
+   failures) runs inline, then on the pool with batched dispatch
    (``jobs=4, batch_size=8``); the merged digests must match.
-3. **Crash chaos** — the same sharded sweep with workers killed
+3. **Crash chaos** — the same pooled sweep with workers killed
    mid-batch (``SweepChaos.crash_keys``) must converge to the same
    digest: only the blamed spec is retried, batchmates are requeued at
    the same attempt.
@@ -59,25 +58,13 @@ def grid_parity() -> None:
     pooled = [
         serialize_result(r) for r in run_specs(specs, jobs=4)
     ]
-    if not pool_mod.pool_enabled():
-        fail("grid parity: the warm pool was not enabled by default")
     pool_mod.shutdown_shared_pool()
 
-    os.environ["REPRO_POOL"] = "0"
-    try:
-        legacy = [
-            serialize_result(r) for r in run_specs(specs, jobs=4)
-        ]
-    finally:
-        del os.environ["REPRO_POOL"]
-
-    for index, (a, b, c) in enumerate(zip(serial, pooled, legacy)):
+    for index, (a, b) in enumerate(zip(serial, pooled)):
         if a != b:
             fail(f"grid parity: pooled result {index} diverged from serial")
-        if a != c:
-            fail(f"grid parity: legacy result {index} diverged from serial")
     print(f"grid parity: {len(specs)} specs byte-identical across "
-          "serial / warm pool / legacy executor")
+          "serial / warm pool")
     check_rss("grid parity")
 
 
@@ -109,7 +96,7 @@ def sweep_scale(root: Path) -> str:
     )
     if sharded != inline:
         fail(
-            f"1k-spec sharded digest diverged from inline: "
+            f"1k-spec pooled digest diverged from inline: "
             f"{sharded} != {inline}"
         )
     check_rss("sweep scale")
@@ -144,7 +131,7 @@ def sweep_chaos(root: Path, reference: str) -> None:
     )
     if digest != reference:
         fail(
-            f"crash-chaos sharded digest diverged from inline: "
+            f"crash-chaos pooled digest diverged from inline: "
             f"{digest} != {reference}"
         )
     check_rss("sweep chaos")
@@ -158,9 +145,9 @@ def main() -> int:
         reference = sweep_scale(root)
         sweep_chaos(root, reference)
     print(
-        "pool-equivalence-check: OK (warm pool, legacy executor, and "
-        "serial runs are byte-identical; batched + crashed sweeps "
-        "merge to the inline digest)"
+        "pool-equivalence-check: OK (warm pool and serial runs are "
+        "byte-identical; batched + crashed sweeps merge to the inline "
+        "digest)"
     )
     return 0
 

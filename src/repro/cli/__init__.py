@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help="worker shards (default 1: run inline, no subprocesses)",
+            help="worker processes (default 1: run inline, no subprocesses)",
         )
         parser.add_argument(
             "--timeout",
@@ -436,15 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--hang-timeout",
             type=float,
             default=None,
-            help="kill a shard whose heartbeat stalls this long while busy "
+            help="kill a worker whose heartbeat stalls this long while busy "
             "(default: off)",
-        )
-        parser.add_argument(
-            "--shard-slo",
-            type=float,
-            default=None,
-            help="per-shard wall-clock SLO: an idle shard past this budget "
-            "stops taking work (default: off)",
         )
         parser.add_argument(
             "--max-failures",
@@ -456,12 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--batch-size",
             type=int,
             default=1,
-            help="specs per dispatch to each worker shard (default 1)",
+            help="specs per dispatch to each worker (default 1)",
         )
 
     sweep_parser = commands.add_parser(
         "sweep",
-        help="checkpointed, resumable sharded sweeps over experiment grids",
+        help="checkpointed, resumable parallel sweeps over experiment grids",
     )
     sweep_commands = sweep_parser.add_subparsers(dest="sweep_command", required=True)
 
@@ -471,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run_parser.add_argument(
         "--state-dir",
         required=True,
-        help="checkpoint directory (journal + per-shard result caches)",
+        help="checkpoint directory (journal + result cache)",
     )
     sweep_run_parser.add_argument(
         "--grid",

@@ -35,7 +35,6 @@ def _sweep_options_from(args: argparse.Namespace) -> SweepOptions:
         backoff_base_s=args.backoff_base,
         heartbeat_s=args.heartbeat,
         hang_timeout_s=args.hang_timeout,
-        shard_slo_s=args.shard_slo,
         max_failures=args.max_failures,
         batch_size=args.batch_size,
     )
@@ -141,7 +140,7 @@ def cmd_sweep_status(args: argparse.Namespace) -> int:
             ("aborted", "yes" if info["aborted"] else "no"),
         ]
         rows += [
-            (f"cached in {shard}", count) for shard, count in info["by_shard"].items()
+            (f"ran on {worker}", count) for worker, count in info["by_shard"].items()
         ]
         pool = info.get("pool")
         if pool:

@@ -7,7 +7,7 @@ fault rates are realised under many independent schedules?  This module
 expands one :class:`~repro.machine.ExperimentSpec` across N derived
 :class:`~repro.faults.FaultPlan` seeds (:func:`repro.faults.seed_stream`),
 runs the members through the checkpointed sweep orchestrator
-(:mod:`repro.experiments.sweep` — ensembles inherit kill/resume, shards,
+(:mod:`repro.experiments.sweep` — ensembles inherit kill/resume, workers,
 and the watchdog for free), and merges the figure metrics with bootstrap
 confidence intervals.
 
@@ -222,20 +222,12 @@ def _summarize(
     resamples: int,
     alpha: float,
 ) -> EnsembleReport:
-    from repro.experiments.sweep import _State, _load_result, _find_cached
+    from repro.experiments.runner import load_cached
+    from repro.experiments.sweep import CACHE_DIRNAME
 
-    state = _State(
-        root=sweep.state_dir,
-        journal=sweep.state_dir / "journal.jsonl",
-        events=sweep.state_dir / "events.jsonl",
-        cache=sweep.state_dir / "cache",
-    )
     results: List[ExperimentResult] = []
     for outcome in sweep.ok:
-        result = _load_result(state, outcome.shard or "main", outcome.key)
-        if result is None:
-            found = _find_cached(state, outcome.key)
-            result = found[1] if found is not None else None
+        result = load_cached(sweep.state_dir / CACHE_DIRNAME, outcome.key)
         if isinstance(result, ExperimentResult):
             results.append(result)
     if len(results) < 2:

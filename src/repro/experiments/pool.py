@@ -1,29 +1,33 @@
-"""The warm-worker execution pool: persistent workers, batched dispatch.
+"""The warm-worker execution pool: the one multi-process executor.
 
 Every throughput surface in the repository — grid figures through
-:func:`~repro.experiments.runner.run_specs`, sharded sweeps
+:func:`~repro.experiments.runner.run_specs`, sweeps
 (:mod:`repro.experiments.sweep`), and the service JobManager
-(:mod:`repro.service.jobs`) — used to pay per-grid process churn: spawn a
-pool, import ``repro`` in every worker, rebuild workload state per spec,
-pickle every result back, tear the pool down.  This module amortizes all
-of it:
+(:mod:`repro.service.jobs`) — runs its cells here rather than paying
+per-grid process churn (spawn, import ``repro`` in every worker, rebuild
+workload state per spec, pickle every result back, tear down):
 
 - **Warm workers** — long-lived child processes that import once and stay
   resident.  A process-wide shared pool (:func:`get_pool`) survives across
   grids, bench repeats, and service jobs, so only the first dispatch pays
   interpreter startup.
-- **Batched dispatch** — many small specs ride one pipe round-trip
-  (``{"frame": "batch", "items": [...]}``), which matters when the specs
-  are cheap (synthetic sweep cells) and the IPC is not.
+- **Batched, pipelined dispatch** — many small specs ride one pipe
+  round-trip (``{"frame": "batch", "items": [...]}``), and each worker
+  keeps a second batch buffered so it never idles on the round trip.
 - **Zero-pickle frames** — specs and results travel as canonical-JSON
   frames (:mod:`repro.experiments.wire`), not pickles.
 - **Snapshot/reset** — workers keep :mod:`repro.machine`'s workload
   template cache warm across same-family specs; hit/miss deltas ride back
   on every result frame as telemetry.
+- **Containment** — a worker that dies mid-batch, or (with a hang timeout)
+  stops sending heartbeats while busy and is killed by the watchdog, makes
+  the first unfinished item of its batch the suspect: requeued once,
+  alone, on an otherwise idle worker, and on a second loss reported with
+  ``kind="crash"`` or ``"hang"``.  The rest of the batch requeues
+  unblamed; finished items are never re-run.
 
 Byte-identity is the contract: a spec executed here produces exactly the
-result the inline path produces, and ``REPRO_POOL=0`` switches every
-caller back to the legacy executor as the reference path.
+result the inline path (``jobs=1``) produces.
 
 Worker reuse raises a hygiene problem process churn used to hide: state a
 spec leaves behind (an env-var lane override, a leaked ``SIGALRM``
@@ -32,10 +36,9 @@ the parent's env-knob profile, applied (plus
 :func:`repro.vm.fastlane.refresh_from_env`) before the spec runs, and the
 deadline timer is forcibly disarmed between items.
 
-Crash containment follows the sweep orchestrator's rule: when a worker
-dies mid-batch, the first unfinished item is the suspect — requeued once,
-alone, then failed with ``kind="crash"`` — and the rest requeue
-unblamed; finished items are never re-run.
+A caller that needs outcomes as they arrive (the sweep journals each one)
+opens a :class:`Session` on the pool; :meth:`WarmPool.run` is a session
+that collects every outcome in input order.
 """
 
 from __future__ import annotations
@@ -47,52 +50,51 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from multiprocessing.connection import wait as conn_wait
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import machine as machine_mod
 from repro.experiments import wire
 from repro.experiments.runner import (
     ExperimentFailure,
-    _SpecTimeout,
-    call_with_deadline,
     execute_guarded,
-    spec_key,
+    item_key,
+    store_cached,
 )
-from repro.machine import ExperimentResult, ExperimentSpec
+from repro.experiments.synthetic import EMPTY_POOL_CHAOS, PoolChaos
+from repro.machine import ExperimentResult
 
 __all__ = [
     "EMPTY_POOL_CHAOS",
     "PoolChaos",
+    "REQUEUE_LIMIT",
+    "Session",
     "WarmPool",
     "capture_env",
     "get_pool",
     "item_key",
-    "pool_enabled",
     "recv_frame",
     "send_frame",
     "shutdown_shared_pool",
     "worker_entry",
 ]
 
-# One requeue for a crash suspect, then blame it — same as the sweep.
+#: How many times a crash or hang suspect goes back to the queue before it
+#: is blamed.  The paper's simulations are deterministic, so one requeue
+#: distinguishes environmental flakes (OOM kill, stray signal) from items
+#: that reliably take their worker down.
 REQUEUE_LIMIT = 1
 
-_DISABLED_VALUES = {"0", "off", "false", "no"}
-
-
-def pool_enabled() -> bool:
-    """``REPRO_POOL`` gate: on by default, ``0``/``off``/``false``/``no``
-    selects the legacy per-grid executor as the reference path."""
-    return os.environ.get("REPRO_POOL", "1").strip().lower() not in _DISABLED_VALUES
+_LOSS_DETAIL = {
+    "crash": "worker process died while running this spec",
+    "hang": "worker heartbeat lost (hung beyond the SIGALRM deadline)",
+}
 
 
 # -- env-knob hygiene -------------------------------------------------------
 #
 # The knobs that change *how* a spec executes without being part of the
-# spec.  (REPRO_ENGINE died with the heap backend in the policy-seam PR;
-# REPRO_POOL itself only selects the executor, never the physics, so it
-# deliberately does not travel.)
+# spec.  (REPRO_ENGINE died with the heap backend in the policy-seam PR.)
 
 ENV_KNOBS: Tuple[str, ...] = ("REPRO_FAST_LANE",)
 
@@ -115,28 +117,6 @@ def _apply_env(profile: Optional[Dict[str, Optional[str]]]) -> None:
     fastlane.refresh_from_env()
 
 
-# -- chaos (worker-side fault injection, test-only) -------------------------
-
-
-@dataclass(frozen=True)
-class PoolChaos:
-    """Same declarative shape as the sweep's chaos (the worker loop
-    duck-types across both): crash or hang a worker when it picks up one
-    of these keys, while the attempt number is ``<= max_attempt``."""
-
-    crash_keys: Tuple[str, ...] = ()
-    hang_keys: Tuple[str, ...] = ()
-    max_attempt: int = 10**9
-    hang_s: float = 3600.0
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.crash_keys or self.hang_keys)
-
-
-EMPTY_POOL_CHAOS = PoolChaos()
-
-
 # -- wire frames ------------------------------------------------------------
 
 
@@ -146,15 +126,6 @@ def send_frame(conn, frame: Dict[str, object]) -> None:
 
 def recv_frame(conn) -> Dict[str, object]:
     return wire.decode(conn.recv_bytes())
-
-
-def item_key(spec) -> str:
-    """Content key for any pool item (experiment or sweep-synthetic)."""
-    if isinstance(spec, ExperimentSpec):
-        return spec_key(spec)
-    from repro.experiments.sweep import sweep_spec_key
-
-    return sweep_spec_key(spec)
 
 
 def _mp_context():
@@ -176,89 +147,44 @@ def _disarm_deadline() -> None:
 
 
 def _execute_item(spec, timeout_s: Optional[float], retries: int):
-    """Warm-mode execution: ``("ok", result)`` or ``("failure", dict)``.
-
-    Experiments go through the runner's guarded primitive; synthetic sweep
-    cells get the same deadline/retry envelope (unlike the sweep's inline
-    path, which never bounds them — the sweep orchestrator preserves that
-    by dispatching in sweep mode, see :func:`worker_entry`).
-    """
-    if isinstance(spec, ExperimentSpec):
-        outcome = execute_guarded(spec, timeout_s, retries)
-        if isinstance(outcome, ExperimentFailure):
-            return "failure", {
-                "kind": outcome.kind,
-                "message": outcome.message,
-                "attempts": outcome.attempts,
-            }
-        return "ok", outcome
-
-    from repro.experiments.sweep import SyntheticSpec, _run_synthetic
-
-    if not isinstance(spec, SyntheticSpec):
+    """``("ok", result)`` or ``("failure", {"kind", "message", "attempts"})``."""
+    outcome = execute_guarded(spec, timeout_s, retries)
+    if isinstance(outcome, ExperimentFailure):
         return "failure", {
-            "kind": "error",
-            "message": f"unsupported spec type: {type(spec).__name__}",
-            "attempts": 1,
+            "kind": outcome.kind,
+            "message": outcome.message,
+            "attempts": outcome.attempts,
         }
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            result = call_with_deadline(lambda: _run_synthetic(spec), timeout_s)
-            return "ok", result
-        except _SpecTimeout:
-            failure = {
-                "kind": "timeout",
-                "message": f"exceeded the wall-clock budget of {timeout_s}s",
-                "attempts": attempts,
-            }
-        except Exception as exc:
-            failure = {"kind": "error", "message": str(exc), "attempts": attempts}
-        if attempts > retries:
-            return "failure", failure
+    return "ok", outcome
 
 
-def _execute_sweep_item(cache_dir: str, namespace: str, key: str, spec, timeout_s):
-    """Sweep-mode execution: byte-for-byte the old shard behavior.
+def _execute_sweep_item(cache_dir: str, key: str, spec, timeout_s, retries: int):
+    """Store-through execution, for batches that name a ``cache_dir``.
 
-    Delegates to the sweep's own ``_execute_any`` (so summaries — and
-    therefore journal lines and digests — cannot drift from the inline
-    path) and stores successful results in this shard's private cache
-    namespace *before* the result frame is sent, preserving the
-    kill/resume contract.
+    A success is stored under ``key`` *before* its result frame is sent,
+    so a dispatcher killed between the two finds the result on resume;
+    the frame then carries no result.  Sweeps dispatch this way.
     """
-    from repro.experiments import sweep as sweep_mod
-
-    status, result = sweep_mod._execute_any(spec, timeout_s)
+    status, payload = _execute_item(spec, timeout_s, retries)
     if status == "ok":
-        root = sweep_mod.Path(cache_dir).parent
-        path_state = sweep_mod._State(
-            root=root,
-            journal=root / sweep_mod.JOURNAL_NAME,
-            events=root / sweep_mod.EVENTS_NAME,
-            cache=sweep_mod.Path(cache_dir),
-        )
-        sweep_mod._store_result(path_state, namespace, key, result)
+        store_cached(cache_dir, key, payload)
         return "ok", None
-    return "failure", result  # {"kind", "message"}
+    return status, payload
 
 
 def worker_entry(
     conn,
     name: str,
     heartbeat_s: Optional[float],
-    chaos,
+    chaos: PoolChaos,
 ) -> None:
-    """Persistent worker loop, shared by warm-pool workers and sweep shards.
+    """Persistent worker loop.
 
     Pulls batch frames off the pipe, runs each item, pushes one result
-    frame per item.  With ``heartbeat_s`` set (sweep shards) a thread
-    beats on the pipe so the orchestrator's watchdog can see hangs; either
-    way the thread watches ``os.getppid()`` and exits if the parent dies,
-    so a SIGKILLed dispatcher never leaves orphans.  ``chaos`` is any
-    object with the :class:`PoolChaos` fields (the sweep passes its own
-    ``SweepChaos``).
+    frame per item.  With ``heartbeat_s`` set a thread beats on the pipe
+    so the dispatcher's watchdog can see hangs; either way the thread
+    watches ``os.getppid()`` and exits if the parent dies, so a SIGKILLed
+    dispatcher never leaves orphans.
     """
     # The fork copies the dispatcher's signal dispositions.  `repro serve`
     # installs a SIGTERM handler that merely sets an event — inherited by a
@@ -305,7 +231,6 @@ def worker_entry(
         if frame.get("frame") != "batch":
             continue
         cache_dir = frame.get("cache_dir")
-        namespace = frame.get("namespace")
         for item in frame["items"]:
             index = item["index"]
             attempt = item.get("attempt", 1)
@@ -321,13 +246,13 @@ def worker_entry(
             _disarm_deadline()
             snap_before = machine_mod.template_counters()
             started = time.monotonic()
-            if cache_dir is not None:
-                status, payload = _execute_sweep_item(
-                    cache_dir, namespace, key, spec, item.get("timeout_s")
-                )
-            else:
+            if cache_dir is None:
                 status, payload = _execute_item(
                     spec, item.get("timeout_s"), item.get("retries", 0)
+                )
+            else:
+                status, payload = _execute_sweep_item(
+                    cache_dir, key, spec, item.get("timeout_s"), item.get("retries", 0)
                 )
             elapsed = time.monotonic() - started
             snap_after = machine_mod.template_counters()
@@ -347,17 +272,16 @@ def worker_entry(
                 result_frame["lane"] = fastlane.lane_name()
             except Exception:
                 result_frame["lane"] = "unknown"
-            if status == "ok":
-                if cache_dir is None:
-                    # Detach the spec: the dispatcher reattaches its own
-                    # object, so the frame carries only the result data.
-                    if isinstance(payload, ExperimentResult):
-                        payload.spec = None
-                    result_frame["result"] = payload
-                else:
-                    result_frame["stored"] = True
-            else:
+            if status != "ok":
                 result_frame.update(payload)
+            elif payload is None:
+                result_frame["stored"] = True
+            else:
+                # Detach the spec: the dispatcher reattaches its own
+                # object, so the frame carries only the result data.
+                if isinstance(payload, ExperimentResult):
+                    payload.spec = None
+                result_frame["result"] = payload
             if not _send(result_frame):
                 stop = True
                 break
@@ -371,14 +295,14 @@ def worker_entry(
 
 
 class _Worker:
-    __slots__ = ("name", "process", "conn", "dispatches", "specs_done")
+    __slots__ = ("name", "process", "conn", "dispatches", "last_beat")
 
     def __init__(self, name, process, conn) -> None:
         self.name = name
         self.process = process
         self.conn = conn
         self.dispatches = 0
-        self.specs_done = 0
+        self.last_beat = time.monotonic()
 
 
 Outcome = Union[ExperimentResult, ExperimentFailure, object]
@@ -389,16 +313,31 @@ class WarmPool:
 
     Thread-safe: the service's job threads each lease workers through
     :meth:`run`/:meth:`run_one` concurrently (a worker pipe is only ever
-    read and written by the thread that holds its lease).  Workers are
+    read and written by the session that holds its lease).  Workers are
     spawned lazily up to ``workers`` and returned warm; the pool grows on
     demand (:meth:`grow`) and never shrinks until :meth:`shutdown`.
+
+    ``heartbeat_s`` makes workers beat on their pipe at that period, and
+    ``hang_timeout_s`` (which needs it) arms the watchdog: a busy worker
+    silent for that long is killed and its suspect blamed for a hang.
+    ``chaos`` injects worker faults (tests only).
     """
 
-    def __init__(self, workers: int, chaos: Optional[PoolChaos] = None) -> None:
+    def __init__(
+        self,
+        workers: int,
+        chaos: Optional[PoolChaos] = None,
+        heartbeat_s: Optional[float] = None,
+        hang_timeout_s: Optional[float] = None,
+    ) -> None:
         if workers < 1:
             raise ValueError(f"pool needs at least 1 worker, got {workers}")
+        if hang_timeout_s is not None and heartbeat_s is None:
+            raise ValueError("a hang timeout needs worker heartbeats")
         self._target = int(workers)
         self._chaos = chaos if chaos is not None else EMPTY_POOL_CHAOS
+        self._heartbeat_s = heartbeat_s
+        self.hang_timeout_s = hang_timeout_s
         self._ctx = _mp_context()
         self._cv = threading.Condition()
         self._idle: List[_Worker] = []
@@ -468,7 +407,7 @@ class WarmPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_entry,
-            args=(child_conn, name, None, self._chaos),
+            args=(child_conn, name, self._heartbeat_s, self._chaos),
             daemon=True,
             name=f"repro-{name}",
         )
@@ -513,15 +452,13 @@ class WarmPool:
             self._stop_worker(worker)
 
     def _discard(self, worker: _Worker) -> None:
-        """Drop a dead worker's lease so a replacement may be spawned."""
+        """Kill a dead, hung or abandoned worker and free its slot."""
         try:
             worker.conn.close()
         except OSError:
             pass
-        worker.process.join(timeout=0.5)
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
+        worker.process.kill()
+        worker.process.join(timeout=5.0)
         with self._cv:
             self._alive -= 1
             self._cv.notify()
@@ -545,205 +482,49 @@ class WarmPool:
         """Run ``specs`` on warm workers; outcomes align with input order.
 
         Never raises for a spec's own sake: failures (error, timeout,
-        crash) come back as :class:`ExperimentFailure` values in their
-        grid slots, exactly like the legacy executor.
+        crash, hang) come back as :class:`ExperimentFailure` values in
+        their grid slots, exactly like the inline path.
         """
         specs = list(specs)
         count = len(specs)
         if count == 0:
             return []
-        keys = [item_key(spec) for spec in specs]
-        if env is None:
-            env = capture_env()
         if batch_size is None:
             batch_size = self._auto_batch(count)
         batch_size = max(1, int(batch_size))
-
-        # Lease workers: at least one (blocking), more if free right now.
-        want = min(self._target, max(1, -(-count // batch_size)))
-        leased = [self._checkout()]
-        while len(leased) < want:
-            worker = self._try_checkout()
-            if worker is None:
-                break
-            leased.append(worker)
-
-        pending = deque(range(count))
-        attempts = [1] * count
-        crash_counts: Dict[int, int] = {}
-        solo: set = set()
-        inflight: Dict[_Worker, List[int]] = {}
         results: List[Optional[Outcome]] = [None] * count
-        done = 0
-
-        def _fill(worker: _Worker) -> bool:
-            """Top the worker up to two batches of outstanding items.
-
-            Keeping a second batch buffered in the pipe is what removes
-            the round-trip stall: while the dispatcher is decoding one
-            result, the worker is already executing the next item instead
-            of idling.  A crash suspect (``solo``) is only ever sent to a
-            worker with *nothing* outstanding, so a second death
-            unambiguously blames it.
-            """
-            while pending and len(inflight.get(worker, ())) < 2 * batch_size:
-                if pending[0] in solo:
-                    if inflight.get(worker):
-                        return True  # suspects need an empty worker
-                    batch = [pending.popleft()]
-                else:
-                    batch = []
-                    while (
-                        pending
-                        and len(batch) < batch_size
-                        and pending[0] not in solo
-                    ):
-                        batch.append(pending.popleft())
-                    if not batch:
-                        return True  # head of queue is a suspect
-                if not _dispatch(worker, batch):
-                    inflight.setdefault(worker, []).extend(batch)
-                    _handle_crash(worker)
-                    return False
-                inflight.setdefault(worker, []).extend(batch)
-                if batch[0] in solo:
-                    return True  # nothing may ride along with a suspect
-            return True
-
-        def _dispatch(worker: _Worker, batch: List[int]) -> bool:
-            items = [
-                {
-                    "index": index,
-                    "attempt": attempts[index],
-                    "key": keys[index],
-                    "spec": specs[index],
-                    "timeout_s": timeout_s,
-                    "retries": retries,
-                    "env": env,
-                }
-                for index in batch
-            ]
-            try:
-                send_frame(worker.conn, {"frame": "batch", "items": items})
-            except (BrokenPipeError, OSError):
-                return False
-            with self._tlock:
-                self._counters["dispatches"] += 1
-                if worker.dispatches > 0:
-                    self._counters["warm_dispatches"] += 1
-                self._counters["specs_dispatched"] += len(items)
-                self._counters["max_batch"] = max(
-                    self._counters["max_batch"], len(items)
-                )
-            worker.dispatches += 1
-            return True
-
-        def _handle_crash(worker: _Worker) -> None:
-            nonlocal done
-            batch = inflight.pop(worker, [])
-            with self._tlock:
-                self._counters["crashes"] += 1
-            leased.remove(worker)
-            self._discard(worker)
-            if batch:
-                suspect = batch[0]
-                crash_counts[suspect] = crash_counts.get(suspect, 0) + 1
-                for index in reversed(batch[1:]):
-                    pending.appendleft(index)  # unblamed, same attempt
-                if crash_counts[suspect] > REQUEUE_LIMIT:
-                    results[suspect] = ExperimentFailure(
-                        specs[suspect],
-                        "crash",
-                        "worker process died while running this spec",
-                        attempts=attempts[suspect],
-                    )
-                    done += 1
-                else:
-                    attempts[suspect] += 1
-                    solo.add(suspect)
-                    pending.appendleft(suspect)
-            if pending or inflight:
-                replacement = self._try_checkout()
-                if replacement is None and not leased:
-                    replacement = self._checkout()
-                if replacement is not None:
-                    leased.append(replacement)
-
-        def _absorb(worker: _Worker) -> None:
-            """Drain every frame the worker has ready; EOF means crash."""
-            nonlocal done
-            try:
-                while True:
-                    frame = recv_frame(worker.conn)
-                    if frame.get("frame") != "result":
-                        continue
-                    index = frame["index"]
-                    batch = inflight.get(worker, [])
-                    if index in batch:
-                        batch.remove(index)
-                    if not batch:
-                        inflight.pop(worker, None)
-                    if frame["status"] == "ok":
-                        payload = frame.get("result")
+        with Session(
+            self,
+            workers=min(self._target, -(-count // batch_size)),
+            timeout_s=timeout_s,
+            retries=retries,
+            batch_size=batch_size,
+            env=env,
+        ) as session:
+            for index, spec in enumerate(specs):
+                session.submit(index, spec, item_key(spec))
+            while session.outstanding:
+                for frame in session.poll(0.25):
+                    index = frame.get("index")
+                    if frame["frame"] == "result" and frame["status"] == "ok":
+                        payload = frame["result"]
                         if isinstance(payload, ExperimentResult):
                             payload.spec = specs[index]
                         results[index] = payload
-                    else:
+                    elif frame["frame"] == "result":
                         results[index] = ExperimentFailure(
                             specs[index],
                             frame.get("kind", "error"),
                             frame.get("message", ""),
-                            attempts=frame.get("attempts", attempts[index]),
+                            attempts=frame.get("attempts", frame["attempt"]),
                         )
-                    done += 1
-                    worker.specs_done += 1
-                    with self._tlock:
-                        self._counters["specs_done"] += 1
-                        self._counters["snapshot_hits"] += frame.get("snap_hits", 0)
-                        self._counters["snapshot_misses"] += frame.get(
-                            "snap_misses", 0
+                    elif frame["frame"] == "lost" and not frame["requeued"]:
+                        results[index] = ExperimentFailure(
+                            specs[index],
+                            frame["reason"],
+                            frame["message"],
+                            attempts=frame["attempt"],
                         )
-                    if not worker.conn.poll():
-                        return
-            except (EOFError, OSError, wire.WireError):
-                _handle_crash(worker)
-
-        from multiprocessing.connection import wait as conn_wait
-
-        try:
-            while done < count:
-                for worker in list(leased):
-                    if pending and worker in leased:
-                        _fill(worker)
-                if not inflight:
-                    if done < count and not pending:
-                        # Every remaining item crashed out; nothing left.
-                        break
-                    continue
-                ready = conn_wait([w.conn for w in inflight], timeout=1.0)
-                by_conn = {w.conn: w for w in inflight}
-                for conn in ready:
-                    worker = by_conn.get(conn)
-                    if worker is not None:
-                        _absorb(worker)
-        finally:
-            for worker in list(leased):
-                if worker in inflight:
-                    # Mid-batch abandon (an exception above): the worker
-                    # may still be executing — do not reuse its pipe.
-                    leased.remove(worker)
-                    self._discard(worker)
-                else:
-                    self._checkin(worker)
-
-        for index in range(count):
-            if results[index] is None:
-                results[index] = ExperimentFailure(
-                    specs[index],
-                    "crash",
-                    "worker process died while running this spec",
-                    attempts=attempts[index],
-                )
         return results  # type: ignore[return-value]
 
     def run_one(
@@ -772,6 +553,252 @@ class WarmPool:
         lookups = snap["snapshot_hits"] + snap["snapshot_misses"]
         snap["snapshot_hit_rate"] = snap["snapshot_hits"] / lookups if lookups else 0.0
         return snap
+
+
+class Session:
+    """One caller's lease on pool workers: :meth:`submit` items, then
+    :meth:`poll` for frames as they arrive.
+
+    :meth:`poll` returns, in arrival order:
+
+    - ``{"frame": "result", ...}`` — an item finished (the worker's frame:
+      ``index``, ``attempt``, ``worker``, ``status``, ``elapsed_s``, and
+      ``result`` or ``stored`` on success, ``kind``/``message``/``attempts``
+      on failure);
+    - ``{"frame": "heartbeat", "worker"}`` — a liveness beat;
+    - ``{"frame": "lost", "index", "attempt", "worker", "reason",
+      "message", "requeued"}`` — the item was the suspect of a worker
+      crash or hang.  ``requeued`` means it will run again, alone, as
+      ``attempt + 1``; otherwise it is finished as a loss.
+
+    With ``cache_dir`` set, workers store each success there before
+    replying and the result frame carries no result.  Close the session
+    (or use it as a context manager) to hand the workers back.
+    """
+
+    def __init__(
+        self,
+        pool: WarmPool,
+        workers: int,
+        timeout_s: Optional[float] = None,
+        retries: int = 0,
+        batch_size: int = 1,
+        env: Optional[Dict[str, Optional[str]]] = None,
+        cache_dir: Optional[os.PathLike] = None,
+    ) -> None:
+        self._pool = pool
+        self._want = max(1, workers)
+        self._timeout_s = timeout_s
+        self._retries = retries
+        self._batch_size = max(1, batch_size)
+        self._env = env if env is not None else capture_env()
+        self._cache_dir = None if cache_dir is None else str(cache_dir)
+        self._items: Dict[int, list] = {}  # index -> [spec, key, attempt]
+        self._pending: deque = deque()
+        self._solo: set = set()  # requeued suspects: run alone
+        self._losses: Dict[int, int] = {}
+        self._inflight: Dict[_Worker, List[int]] = {}  # dispatch order
+        self._frames: List[Dict[str, object]] = []
+        self._leased: List[_Worker] = [pool._checkout()]
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    @property
+    def outstanding(self) -> int:
+        """Items submitted and not yet finished."""
+        return len(self._items)
+
+    def submit(self, index: int, spec, key: str, attempt: int = 1) -> None:
+        self._items[index] = [spec, key, attempt]
+        self._pending.append(index)
+
+    def poll(self, timeout: float) -> List[Dict[str, object]]:
+        """Dispatch what is pending, then wait up to ``timeout`` for frames."""
+        self._top_up()
+        for worker in list(self._leased):
+            if self._pending and worker in self._leased:
+                self._fill(worker)
+        if self._leased:
+            by_conn = {worker.conn: worker for worker in self._leased}
+            for conn in conn_wait(list(by_conn), timeout=timeout):
+                if by_conn[conn] in self._leased:
+                    self._absorb(by_conn[conn])
+        else:
+            time.sleep(timeout)
+        self._watchdog()
+        frames, self._frames = self._frames, []
+        return frames
+
+    def close(self) -> None:
+        for worker in self._leased:
+            if worker in self._inflight:
+                # Abandoned mid-batch: the worker may still be executing,
+                # so its pipe cannot be reused.
+                self._pool._discard(worker)
+            else:
+                self._pool._checkin(worker)
+        self._leased = []
+        self._inflight.clear()
+
+    # -- internals ---------------------------------------------------------
+
+    def _top_up(self) -> None:
+        while self._pending and len(self._leased) < self._want:
+            worker = self._pool._try_checkout()
+            if worker is None:
+                break
+            self._leased.append(worker)
+        if self._pending and not self._leased:
+            self._leased.append(self._pool._checkout())
+
+    def _fill(self, worker: _Worker) -> None:
+        """Top the worker up to two batches of outstanding items.
+
+        Keeping a second batch buffered in the pipe is what removes the
+        round-trip stall: while the dispatcher is decoding one result,
+        the worker is already executing the next item instead of idling.
+        A suspect (``_solo``) is only ever sent to a worker with *nothing*
+        outstanding, so a second loss unambiguously blames it.
+        """
+        pending = self._pending
+        while pending and len(self._inflight.get(worker, ())) < 2 * self._batch_size:
+            if pending[0] in self._solo:
+                if self._inflight.get(worker):
+                    return  # suspects need an empty worker
+                batch = [pending.popleft()]
+            else:
+                batch = []
+                while (
+                    pending
+                    and len(batch) < self._batch_size
+                    and pending[0] not in self._solo
+                ):
+                    batch.append(pending.popleft())
+            sent = self._dispatch(worker, batch)
+            self._inflight.setdefault(worker, []).extend(batch)
+            if not sent:
+                self._lose(worker, "crash")
+                return
+            if batch[0] in self._solo:
+                return  # nothing may ride along with a suspect
+
+    def _dispatch(self, worker: _Worker, batch: List[int]) -> bool:
+        items = []
+        for index in batch:
+            spec, key, attempt = self._items[index]
+            items.append(
+                {
+                    "index": index,
+                    "attempt": attempt,
+                    "key": key,
+                    "spec": spec,
+                    "timeout_s": self._timeout_s,
+                    "retries": self._retries,
+                    "env": self._env,
+                }
+            )
+        frame: Dict[str, object] = {"frame": "batch", "items": items}
+        if self._cache_dir is not None:
+            frame["cache_dir"] = self._cache_dir
+        try:
+            send_frame(worker.conn, frame)
+        except (BrokenPipeError, OSError):
+            return False
+        if not self._inflight.get(worker):
+            worker.last_beat = time.monotonic()  # the watchdog starts now
+        pool = self._pool
+        with pool._tlock:
+            pool._counters["dispatches"] += 1
+            if worker.dispatches > 0:
+                pool._counters["warm_dispatches"] += 1
+            pool._counters["specs_dispatched"] += len(items)
+            pool._counters["max_batch"] = max(pool._counters["max_batch"], len(items))
+        worker.dispatches += 1
+        return True
+
+    def _absorb(self, worker: _Worker) -> None:
+        """Drain every frame the worker has ready; EOF means a crash."""
+        try:
+            while True:
+                frame = recv_frame(worker.conn)
+                worker.last_beat = time.monotonic()
+                kind = frame.get("frame")
+                if kind == "result":
+                    self._finish(worker, frame)
+                elif kind == "heartbeat":
+                    self._frames.append(frame)
+                if not worker.conn.poll():
+                    return
+        except (EOFError, OSError, wire.WireError):
+            self._lose(worker, "crash")
+
+    def _finish(self, worker: _Worker, frame: Dict[str, object]) -> None:
+        index = frame["index"]
+        batch = self._inflight.get(worker, [])
+        if index in batch:
+            batch.remove(index)
+        if not batch:
+            self._inflight.pop(worker, None)
+        self._items.pop(index, None)
+        self._solo.discard(index)
+        pool = self._pool
+        with pool._tlock:
+            pool._counters["specs_done"] += 1
+            pool._counters["snapshot_hits"] += frame.get("snap_hits", 0)
+            pool._counters["snapshot_misses"] += frame.get("snap_misses", 0)
+        self._frames.append(frame)
+
+    def _lose(self, worker: _Worker, reason: str) -> None:
+        """Retire a crashed or hung worker and blame its first unfinished
+        item (results stream back in dispatch order, so that is what the
+        worker was executing); the rest of its batch requeues unblamed."""
+        batch = self._inflight.pop(worker, [])
+        with self._pool._tlock:
+            self._pool._counters["crashes"] += 1
+        self._leased.remove(worker)
+        self._pool._discard(worker)
+        if not batch:
+            return
+        suspect = batch[0]
+        for index in reversed(batch[1:]):
+            self._pending.appendleft(index)  # unblamed, same attempt
+        self._losses[suspect] = self._losses.get(suspect, 0) + 1
+        item = self._items[suspect]
+        requeued = self._losses[suspect] <= REQUEUE_LIMIT
+        self._frames.append(
+            {
+                "frame": "lost",
+                "index": suspect,
+                "attempt": item[2],
+                "worker": worker.name,
+                "reason": reason,
+                "message": _LOSS_DETAIL[reason],
+                "requeued": requeued,
+            }
+        )
+        if requeued:
+            item[2] += 1
+            self._solo.add(suspect)
+            self._pending.appendleft(suspect)
+        else:
+            del self._items[suspect]
+            self._solo.discard(suspect)
+
+    def _watchdog(self) -> None:
+        """Kill a busy worker whose heartbeats stopped (a hang SIGALRM
+        cannot reach: C code, an uninterruptible syscall)."""
+        limit = self._pool.hang_timeout_s
+        if limit is None:
+            return
+        now = time.monotonic()
+        for worker in list(self._inflight):
+            # Unread frames mean it is alive; the next poll absorbs them.
+            if now - worker.last_beat > limit and not worker.conn.poll():
+                self._lose(worker, "hang")
 
 
 # -- the process-wide shared pool -------------------------------------------

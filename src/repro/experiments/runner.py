@@ -4,10 +4,11 @@ Every figure in the paper is a grid of independent experiments (benchmark ×
 version × sleep time), each a pure function of its
 :class:`~repro.machine.ExperimentSpec`.  This module exploits both facts:
 
-- **Parallelism** — :func:`run_specs` fans a list of specs out over a
-  process pool (``jobs > 1``) while preserving input order.  With
-  ``jobs=1`` everything runs inline in this process, which keeps
-  single-experiment debugging (and test monkeypatching) trivial.
+- **Parallelism** — :func:`run_specs` fans a list of specs out over the
+  warm worker pool (:mod:`repro.experiments.pool`, ``jobs > 1``) while
+  preserving input order.  With ``jobs=1`` everything runs inline in this
+  process, which keeps single-experiment debugging (and test
+  monkeypatching) trivial, and is the byte-identity reference.
 
 - **Caching** — specs are content-hashed (:func:`spec_key`) together with a
   hash of the ``repro`` package's own source (:func:`code_version`), and
@@ -40,6 +41,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
+from repro.experiments.synthetic import (
+    SyntheticResult,
+    SyntheticSpec,
+    run_synthetic,
+    synthetic_key,
+)
 from repro.ioutil import atomic_open
 from repro.machine import ExperimentResult, ExperimentSpec, run_experiment
 
@@ -51,6 +58,7 @@ __all__ = [
     "call_with_deadline",
     "code_version",
     "execute_guarded",
+    "item_key",
     "load_cached",
     "prune_cache",
     "run_specs",
@@ -89,6 +97,17 @@ def spec_key(spec: ExperimentSpec) -> str:
     digest.update(code_version().encode())
     digest.update(repr(spec).encode())
     return digest.hexdigest()
+
+
+def item_key(spec: Union[ExperimentSpec, SyntheticSpec]) -> str:
+    """Content key for any executable cell (experiment or synthetic)."""
+    if isinstance(spec, SyntheticSpec):
+        return synthetic_key(spec)
+    return spec_key(spec)
+
+
+#: What the cache stores: successes of either cell kind, never failures.
+_RESULT_TYPES = (ExperimentResult, SyntheticResult)
 
 
 # -- failures ---------------------------------------------------------------
@@ -149,7 +168,9 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.pkl"
 
 
-def load_cached(cache_dir: Path, key: str) -> Optional[ExperimentResult]:
+def load_cached(
+    cache_dir: Path, key: str
+) -> Optional[Union[ExperimentResult, SyntheticResult]]:
     """Load one cached result, or ``None`` (missing, corrupt, or stale)."""
     path = _cache_path(Path(cache_dir), key)
     try:
@@ -157,15 +178,18 @@ def load_cached(cache_dir: Path, key: str) -> Optional[ExperimentResult]:
             result = pickle.load(handle)
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
         return None  # missing, corrupt, or stale entry: just re-run
-    if not isinstance(result, ExperimentResult):
+    if not isinstance(result, _RESULT_TYPES):
         return None
-    result.from_cache = True
+    # A synthetic result keeps its stored flag: its repr is what sweep
+    # digests hash.
+    if isinstance(result, ExperimentResult):
+        result.from_cache = True
     return result
 
 
 def store_cached(cache_dir: Path, key: str, result: object) -> None:
     """Persist one success under ``key``; failures are silently refused."""
-    if not isinstance(result, ExperimentResult):
+    if not isinstance(result, _RESULT_TYPES):
         # Failures (or a slot that never produced anything) must not be
         # persisted: a cached failure would satisfy every future lookup.
         return
@@ -173,11 +197,6 @@ def store_cached(cache_dir: Path, key: str, result: object) -> None:
     # Write-then-rename so a parallel worker never reads a torn entry.
     with atomic_open(path, "wb") as handle:
         pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-# Back-compat aliases (the sweep layer uses the public names above).
-_load_cached = load_cached
-_store_cached = store_cached
 
 
 @dataclass
@@ -236,13 +255,17 @@ def cache_entries(cache_dir: os.PathLike) -> List[CacheEntry]:
         except Exception:
             entries.append(CacheEntry(path, size, "corrupt"))
             continue
-        if not isinstance(result, ExperimentResult):
+        if isinstance(result, SyntheticResult):
+            key = result.key
+        elif isinstance(result, ExperimentResult):
+            # Re-deriving the key from the embedded spec uses the *current*
+            # code hash; an entry written by older code lands on a different
+            # name than its own, marking it stale.
+            key = spec_key(result.spec)
+        else:
             entries.append(CacheEntry(path, size, "corrupt"))
             continue
-        # Re-deriving the key from the embedded spec uses the *current*
-        # code hash; an entry written by older code lands on a different
-        # name than its own, marking it stale.
-        status = "ok" if path.stem == spec_key(result.spec) else "stale"
+        status = "ok" if path.stem == key else "stale"
         entries.append(CacheEntry(path, size, status))
     return entries
 
@@ -315,29 +338,34 @@ def call_with_deadline(fn, timeout_s: Optional[float]):
                 continue
 
 
-def _run_with_deadline(spec: ExperimentSpec, timeout_s: Optional[float]):
-    """Run one experiment under :func:`call_with_deadline`."""
-    return call_with_deadline(lambda: run_experiment(spec), timeout_s)
+def _describe_exception(exc: Exception) -> str:
+    return traceback.format_exception_only(type(exc), exc)[-1].strip()
 
 
 def execute_guarded(
-    spec: ExperimentSpec,
+    spec: Union[ExperimentSpec, SyntheticSpec],
     timeout_s: Optional[float] = None,
     retries: int = 0,
-) -> Union[ExperimentResult, ExperimentFailure]:
-    """Run one spec; never raises — failures come back as values.
+) -> Union[ExperimentResult, SyntheticResult, ExperimentFailure]:
+    """Run one cell; never raises — failures come back as values.
 
     Returning (not raising) is what keeps a pool worker alive and the rest
-    of the grid unharmed when one configuration is broken.  This is the
-    execution primitive the sharded sweep orchestrator
-    (:mod:`repro.experiments.sweep`) layers its own retry/backoff and
-    watchdog machinery on top of.
+    of the grid unharmed when one configuration is broken.  Both cell
+    kinds get the same deadline and retry envelope, wherever they run;
+    the sweep (:mod:`repro.experiments.sweep`) layers its backoff retries
+    on top, and the pool (:mod:`repro.experiments.pool`) its crash and
+    hang containment.
     """
+    # A synthetic failure reports its bare message: sweep digests hash it.
+    if isinstance(spec, SyntheticSpec):
+        run, describe = (lambda: run_synthetic(spec)), str
+    else:
+        run, describe = (lambda: run_experiment(spec)), _describe_exception
     attempts = 0
     while True:
         attempts += 1
         try:
-            result = _run_with_deadline(spec, timeout_s)
+            result = call_with_deadline(run, timeout_s)
             result.from_cache = False
             return result
         except _SpecTimeout:
@@ -348,78 +376,9 @@ def execute_guarded(
                 attempts=attempts,
             )
         except Exception as exc:
-            detail = traceback.format_exception_only(type(exc), exc)[-1].strip()
-            failure = ExperimentFailure(spec, "error", detail, attempts=attempts)
+            failure = ExperimentFailure(spec, "error", describe(exc), attempts=attempts)
         if attempts > retries:
             return failure
-
-
-_execute_guarded = execute_guarded  # back-compat alias
-
-
-def _execute_indexed_guarded(item):
-    """Pool worker: (index, spec, timeout_s, retries) -> (index, outcome)."""
-    index, spec, timeout_s, retries = item
-    return index, execute_guarded(spec, timeout_s, retries)
-
-
-def _run_pool(
-    specs: Sequence[ExperimentSpec],
-    indexes: List[int],
-    results: List[Optional[Union[ExperimentResult, ExperimentFailure]]],
-    jobs: int,
-    timeout_s: Optional[float],
-    retries: int,
-) -> None:
-    """Fan ``indexes`` out over a process pool, containing worker deaths.
-
-    Guarded execution converts ordinary exceptions and timeouts into
-    values, so the only way a future can *raise* is the worker process
-    dying (segfault, OOM kill).  That breaks the whole pool; the specs
-    still unfinished are then re-run one per private single-worker pool,
-    which pins the blame: a spec that kills its own pool is the crasher
-    and fails alone, everything else completes normally.
-    """
-    # Local import: the futures machinery is only needed for jobs > 1.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    broken = False
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(
-                    _execute_indexed_guarded, (i, specs[i], timeout_s, retries)
-                ): i
-                for i in indexes
-            }
-            for future in as_completed(futures):
-                try:
-                    index, outcome = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    break  # every remaining future died with the pool
-                results[index] = outcome
-    except BrokenProcessPool:
-        broken = True
-    if not broken:
-        return
-    for index in indexes:
-        if results[index] is not None:
-            continue
-        try:
-            with ProcessPoolExecutor(max_workers=1) as solo:
-                _, outcome = solo.submit(
-                    _execute_indexed_guarded,
-                    (index, specs[index], timeout_s, retries),
-                ).result()
-            results[index] = outcome
-        except BrokenProcessPool:
-            results[index] = ExperimentFailure(
-                specs[index],
-                "crash",
-                "worker process died while running this spec",
-            )
 
 
 def run_specs(
@@ -473,21 +432,15 @@ def run_specs(
             for index in missing:
                 results[index] = execute_guarded(specs[index], timeout_s, retries)
         else:
-            # The warm pool is the default parallel executor; REPRO_POOL=0
-            # selects the legacy per-grid ProcessPoolExecutor as the
-            # byte-identical reference path.
             from repro.experiments import pool as pool_mod
 
-            if pool_mod.pool_enabled():
-                outcomes = pool_mod.get_pool(jobs).run(
-                    [specs[index] for index in missing],
-                    timeout_s=timeout_s,
-                    retries=retries,
-                )
-                for index, outcome in zip(missing, outcomes):
-                    results[index] = outcome
-            else:
-                _run_pool(specs, missing, results, jobs, timeout_s, retries)
+            outcomes = pool_mod.get_pool(jobs).run(
+                [specs[index] for index in missing],
+                timeout_s=timeout_s,
+                retries=retries,
+            )
+            for index, outcome in zip(missing, outcomes):
+                results[index] = outcome
         if cache is not None:
             for index in missing:
                 store_cached(cache, keys[index], results[index])

@@ -1,39 +1,33 @@
-"""Resilient sweep orchestration: sharded, checkpointed, crash-tolerant grids.
+"""Resilient sweep orchestration: checkpointed, crash-tolerant grids.
 
 The paper's results are sweeps — every figure is a grid of memory sizes ×
 benchmarks × policies — and the fault layer multiplies that grid by fault
 seeds.  :func:`~repro.experiments.runner.run_specs` executes such a grid in
-one fragile pass: kill the process and every non-cached cell is lost, and a
-single pathological spec can stall the whole run.  This module layers a
-durable orchestrator on top of the runner's guarded-execution primitive:
+one fragile pass: kill the process and every non-cached cell is lost.
+This module is a durable journal and queue on top of the warm pool
+(:mod:`repro.experiments.pool`):
 
 - **Checkpoint journal** — every per-spec outcome (success, structured
   failure, quarantine) is appended to ``<state_dir>/journal.jsonl`` via the
-  single-write append contract of :mod:`repro.ioutil`; successes land in a
-  content-addressed cache under ``<state_dir>/cache/<shard>/``.  A sweep
-  SIGKILLed mid-flight resumes from the journal and produces merged
+  single-write append contract of :mod:`repro.ioutil`; successes land in
+  the runner's flat result cache, ``<state_dir>/cache/<key>.pkl``.  A
+  sweep SIGKILLed mid-flight resumes from the journal and produces merged
   results byte-identical to an uninterrupted run (simulations are
   deterministic; the digest covers every slot in input order).
 
-- **Sharded execution** — worker processes ("shards") are fed over private
-  pipes by the orchestrator, which dispatches to whichever shard is idle:
-  a pull model that load-balances exactly like a work-stealing queue while
-  keeping every queue endpoint single-reader/single-writer, so killing one
-  worker can never deadlock another's queue.  Each shard writes results
-  into its own cache namespace, so two shards never contend on a rename.
+- **Execution** — ``jobs=1`` runs every cell inline, the byte-identity
+  reference.  ``jobs > 1`` opens a session on a private warm pool, whose
+  workers store each success before reporting it, so an orchestrator
+  killed between the two finds the result on resume.  The pool owns crash
+  and hang containment: a dead worker, or a busy one whose heartbeats stop
+  for ``hang_timeout_s`` (what the per-spec ``SIGALRM`` deadline cannot
+  interrupt: C code, an uninterruptible syscall), has its spec requeued
+  once, then quarantined as poison.
 
-- **Containment beyond the runner's** — the per-spec ``SIGALRM`` deadline
-  catches tight Python loops; the orchestrator adds a heartbeat watchdog
-  for what SIGALRM cannot interrupt (a worker wedged in C code or an
-  uninterruptible syscall): a busy shard whose beats stop for
-  ``hang_timeout_s`` is killed, its spec requeued once, then quarantined
-  as a poison spec.  Worker deaths (segfault, OOM kill) get the same
-  requeue-once-then-quarantine treatment.  Retryable failures back off
-  exponentially with *deterministic* jitter (derived from the spec key, so
-  schedules replay).  Per-shard wall-clock SLOs stop a shard from claiming
-  new work once its budget is spent; a ``max_failures`` budget lets a
-  sweep degrade gracefully into failure slots and aborts — resumably —
-  only when the budget is exhausted.
+- **Retries and budget** — retryable failures back off exponentially with
+  *deterministic* jitter (derived from the spec key, so schedules replay);
+  a ``max_failures`` budget lets a sweep degrade gracefully into failure
+  slots and aborts — resumably — only when the budget is exhausted.
 
 ``repro sweep run|resume|status`` is the CLI surface;
 :mod:`repro.experiments.ensemble` builds Monte Carlo fault ensembles on
@@ -43,9 +37,10 @@ top of :func:`run_sweep`.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
+import json
 import os
-import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -53,15 +48,26 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SimScale, paper, small, tiny
+from repro.experiments import synthetic
+from repro.experiments.runner import (
+    ExperimentFailure,
+    execute_guarded,
+    item_key,
+    load_cached,
+    store_cached,
+)
+from repro.experiments.synthetic import (
+    EMPTY_POOL_CHAOS,
+    PoolChaos,
+    SyntheticResult,
+    SyntheticSpec,
+)
 from repro.faults import EMPTY_PLAN, FaultPlan
-from repro.ioutil import append_journal_line, atomic_open, atomic_write_json, read_journal
+from repro.ioutil import append_journal_line, atomic_write_json, read_journal
 from repro.machine import ExperimentResult, ExperimentSpec, SpecError
 from repro.obs import Bus, JsonlSink, Sink, WallClock
-from repro.experiments import wire
-from repro.experiments.runner import execute_guarded, spec_key
 
 __all__ = [
-    "EMPTY_CHAOS",
     "SweepAborted",
     "SweepChaos",
     "SweepError",
@@ -85,13 +91,15 @@ META_NAME = "meta.json"
 EVENTS_NAME = "events.jsonl"
 CACHE_DIRNAME = "cache"
 
-#: How many times a crashed/hung spec goes back to the queue before it is
-#: quarantined as poison.  The paper's simulations are deterministic, so
-#: one requeue distinguishes environmental flakes (OOM kill, stray signal)
-#: from specs that reliably take their worker down.
-REQUEUE_LIMIT = 1
-
 _SCALES = {"tiny": tiny, "small": small, "paper": paper}
+
+#: Worker fault injection for sweeps (tests only): the pool's chaos.
+SweepChaos = PoolChaos
+
+AnySpec = Union[ExperimentSpec, SyntheticSpec]
+
+#: Content key for any sweep cell (experiment or synthetic).
+sweep_spec_key = item_key
 
 
 class SweepError(RuntimeError):
@@ -110,109 +118,13 @@ class SweepAborted(SweepError):
         )
 
 
-# -- synthetic specs --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """A no-op spec for exercising the orchestrator itself at scale.
-
-    Executes in microseconds (optionally sleeping ``sleep_s`` to model a
-    slow cell, or failing deterministically with ``fail=True``), so a
-    10k-spec sweep stresses the journal, the shards, and the watchdog —
-    not the simulator.
-    """
-
-    index: int
-    payload: str = "noop"
-    sleep_s: float = 0.0
-    fail: bool = False
-
-
-@dataclass
-class SyntheticResult:
-    """What a :class:`SyntheticSpec` produces; cached like a real result."""
-
-    key: str
-    index: int
-    value: int
-    from_cache: bool = False
-
-
-# Synthetic cells ride the pool's zero-pickle wire frames like any other
-# spec; registering here keeps the wire registry free of a sweep import.
-wire.register(SyntheticSpec)
-wire.register(SyntheticResult)
-
-
 def synthetic_specs(
     count: int, fail_every: int = 0, sleep_s: float = 0.0
 ) -> List[SyntheticSpec]:
     """``count`` distinct no-op specs; every ``fail_every``-th one fails."""
     if count < 1:
         raise SweepError(f"synthetic spec count must be >= 1, got {count}")
-    return [
-        SyntheticSpec(
-            index=i,
-            sleep_s=sleep_s,
-            fail=bool(fail_every) and (i + 1) % fail_every == 0,
-        )
-        for i in range(count)
-    ]
-
-
-AnySpec = Union[ExperimentSpec, SyntheticSpec]
-
-
-def sweep_spec_key(spec: AnySpec) -> str:
-    """Content key for any sweep cell (experiment or synthetic)."""
-    if isinstance(spec, SyntheticSpec):
-        digest = hashlib.sha256()
-        digest.update(b"synthetic/")
-        digest.update(repr(spec).encode())
-        return digest.hexdigest()
-    return spec_key(spec)
-
-
-def _run_synthetic(spec: SyntheticSpec) -> SyntheticResult:
-    if spec.sleep_s > 0:
-        time.sleep(spec.sleep_s)
-    if spec.fail:
-        raise RuntimeError(f"synthetic failure (spec {spec.index})")
-    key = sweep_spec_key(spec)
-    return SyntheticResult(key=key, index=spec.index, value=int(key[:8], 16))
-
-
-# -- chaos (orchestrator-level fault injection, test-only) ------------------
-
-
-@dataclass(frozen=True)
-class SweepChaos:
-    """Fault injection for the orchestrator itself, in the spirit of
-    :mod:`repro.faults`: declarative, deterministic, zero machinery when
-    empty.
-
-    ``crash_keys`` makes a worker die (``os._exit``) when it picks up one
-    of those specs; ``hang_keys`` makes it wedge with its heartbeat thread
-    silenced — exactly the beyond-SIGALRM hang the watchdog exists for.
-    Injection applies only while the task's attempt number is
-    ``<= max_attempt``, so ``max_attempt=1`` models an environmental flake
-    (the requeue succeeds) and the default models a poison spec (the
-    requeue fails too, forcing quarantine).  Chaos is honored only inside
-    shard workers — never inline — so it cannot take the orchestrator down.
-    """
-
-    crash_keys: Tuple[str, ...] = ()
-    hang_keys: Tuple[str, ...] = ()
-    max_attempt: int = 10**9
-    hang_s: float = 3600.0
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.crash_keys or self.hang_keys)
-
-
-EMPTY_CHAOS = SweepChaos()
+    return synthetic.synthetic_specs(count, fail_every=fail_every, sleep_s=sleep_s)
 
 
 # -- options and outcomes ---------------------------------------------------
@@ -223,7 +135,7 @@ class SweepOptions:
     """Everything that shapes a sweep's execution (not its results).
 
     None of these fields participates in the merged digest: a sweep run
-    with 1 shard and one run with 8 merge byte-identically.
+    with 1 worker and one run with 8 merge byte-identically.
     """
 
     jobs: int = 1
@@ -233,11 +145,10 @@ class SweepOptions:
     backoff_base_s: float = 0.25
     heartbeat_s: float = 1.0
     hang_timeout_s: Optional[float] = None
-    shard_slo_s: Optional[float] = None
     max_failures: Optional[int] = None
     progress_every: int = 50
     fsync_journal: bool = True
-    chaos: SweepChaos = EMPTY_CHAOS
+    chaos: PoolChaos = EMPTY_POOL_CHAOS
 
     def validate(self) -> None:
         if self.jobs < 1:
@@ -256,8 +167,6 @@ class SweepOptions:
             raise SweepError(
                 f"hang_timeout_s must be positive, got {self.hang_timeout_s}"
             )
-        if self.shard_slo_s is not None and self.shard_slo_s <= 0:
-            raise SweepError(f"shard_slo_s must be positive, got {self.shard_slo_s}")
         if self.max_failures is not None and self.max_failures < 0:
             raise SweepError(f"max_failures must be >= 0, got {self.max_failures}")
 
@@ -285,7 +194,7 @@ class SweepOutcome:
     kind: Optional[str] = None  # for failures: error | timeout | crash | hang
     message: Optional[str] = None
     attempts: int = 1
-    shard: Optional[str] = None  # cache namespace holding the result (ok only)
+    shard: Optional[str] = None  # the worker that ran it (ok only)
     elapsed_s: Optional[float] = None
 
     @property
@@ -296,7 +205,7 @@ class SweepOutcome:
         """The canonical per-slot string the merged digest hashes.
 
         Excludes attempts/shard/elapsed on purpose: how a result was
-        obtained (which shard, how many retries, how long it took) must
+        obtained (which worker, how many retries, how long it took) must
         not perturb the merged identity — only *what* was obtained.
         """
         if self.status == "ok":
@@ -341,6 +250,16 @@ class _State:
     cache: Path
     meta: Dict[str, object] = field(default_factory=dict)
 
+    @classmethod
+    def at(cls, state_dir: os.PathLike) -> "_State":
+        root = Path(state_dir)
+        return cls(
+            root=root,
+            journal=root / JOURNAL_NAME,
+            events=root / EVENTS_NAME,
+            cache=root / CACHE_DIRNAME,
+        )
+
 
 def _keys_digest(keys: Sequence[str]) -> str:
     digest = hashlib.sha256()
@@ -350,26 +269,35 @@ def _keys_digest(keys: Sequence[str]) -> str:
     return digest.hexdigest()
 
 
+def _read_meta(root: Path, missing_ok: bool = False) -> Optional[Dict[str, object]]:
+    """The checkpoint's ``meta.json``; a missing, unreadable or non-object
+    file is a :class:`SweepError` (``None`` if missing and ``missing_ok``)."""
+    path = root / META_NAME
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+    except FileNotFoundError:
+        if missing_ok:
+            return None
+        raise SweepError(f"no sweep checkpoint at {root} (missing {META_NAME})") from None
+    except (OSError, ValueError) as exc:
+        raise SweepError(f"{path} is unreadable: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SweepError(f"{path} is not a JSON object")
+    return meta
+
+
 def _open_state(
     state_dir: os.PathLike,
     keys: Sequence[str],
     resume: bool,
     describe: Optional[Dict[str, object]] = None,
 ) -> _State:
-    root = Path(state_dir)
-    state = _State(
-        root=root,
-        journal=root / JOURNAL_NAME,
-        events=root / EVENTS_NAME,
-        cache=root / CACHE_DIRNAME,
-    )
-    meta_path = root / META_NAME
+    state = _State.at(state_dir)
+    root = state.root
     signature = _keys_digest(keys)
-    if meta_path.exists():
-        import json
-
-        with meta_path.open("r", encoding="utf-8") as handle:
-            meta = json.load(handle)
+    meta = _read_meta(root, missing_ok=not resume)
+    if meta is not None:
         if meta.get("keys_digest") != signature or meta.get("count") != len(keys):
             raise SweepError(
                 f"{root} holds a different sweep ({meta.get('count')} specs, "
@@ -383,8 +311,6 @@ def _open_state(
             )
         state.meta = meta
         return state
-    if resume:
-        raise SweepError(f"no sweep checkpoint at {root} (missing {META_NAME})")
     meta = {
         "version": 1,
         "count": len(keys),
@@ -393,51 +319,9 @@ def _open_state(
     if describe:
         meta.update(describe)
     root.mkdir(parents=True, exist_ok=True)
-    atomic_write_json(meta_path, meta)
+    atomic_write_json(root / META_NAME, meta)
     state.meta = meta
     return state
-
-
-def _namespace_dir(state: _State, namespace: str) -> Path:
-    return state.cache / namespace
-
-
-def _store_result(state: _State, namespace: str, key: str, result: object) -> None:
-    # Mirrors the runner's cache contract: successes only, atomic rename.
-    if not isinstance(result, (ExperimentResult, SyntheticResult)):
-        return
-    path = _namespace_dir(state, namespace) / f"{key}.pkl"
-    with atomic_open(path, "wb") as handle:
-        pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _load_result(state: _State, namespace: str, key: str) -> Optional[object]:
-    path = _namespace_dir(state, namespace) / f"{key}.pkl"
-    try:
-        with path.open("rb") as handle:
-            result = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-        return None
-    if not isinstance(result, (ExperimentResult, SyntheticResult)):
-        return None
-    if isinstance(result, ExperimentResult):
-        result.from_cache = True
-    return result
-
-
-def _find_cached(state: _State, key: str) -> Optional[Tuple[str, object]]:
-    """Search every shard namespace for ``key`` (newest layout first)."""
-    if not state.cache.is_dir():
-        return None
-    try:
-        namespaces = sorted(p.name for p in state.cache.iterdir() if p.is_dir())
-    except FileNotFoundError:
-        return None
-    for namespace in namespaces:
-        result = _load_result(state, namespace, key)
-        if result is not None:
-            return namespace, result
-    return None
 
 
 # -- journal ----------------------------------------------------------------
@@ -462,13 +346,16 @@ def _journal_outcome(state: _State, outcome: SweepOutcome, fsync: bool) -> None:
     append_journal_line(state.journal, record, fsync=fsync)
 
 
-def _load_journal_outcomes(state: _State) -> Dict[int, SweepOutcome]:
-    """Terminal outcomes by spec index (first terminal record wins)."""
-    outcomes: Dict[int, SweepOutcome] = {}
+def _read_journal(state: _State) -> List[Dict[str, object]]:
     try:
-        records = read_journal(state.journal)
+        return read_journal(state.journal)
     except ValueError as exc:
         raise SweepError(str(exc)) from exc
+
+
+def _journal_outcomes(records: Sequence[Dict[str, object]]) -> Dict[int, SweepOutcome]:
+    """Terminal outcomes by spec index (first terminal record wins)."""
+    outcomes: Dict[int, SweepOutcome] = {}
     for record in records:
         if record.get("event") != "spec":
             continue
@@ -488,78 +375,50 @@ def _load_journal_outcomes(state: _State) -> Dict[int, SweepOutcome]:
     return outcomes
 
 
-# -- execution primitives ---------------------------------------------------
-
-
-def _execute_any(spec: AnySpec, timeout_s: Optional[float]) -> Tuple[str, object]:
-    """Run one cell once.  Returns ``(status, result-or-summary)``.
-
-    ``("ok", result)`` on success; ``("failure", {"kind", "message"})``
-    otherwise.  Never raises — same contract as the runner's guarded
-    execution, which this wraps for real experiments.
-    """
-    if isinstance(spec, SyntheticSpec):
-        try:
-            return "ok", _run_synthetic(spec)
-        except Exception as exc:  # deterministic synthetic failure
-            return "failure", {"kind": "error", "message": str(exc)}
-    outcome = execute_guarded(spec, timeout_s, retries=0)
-    if isinstance(outcome, ExperimentResult):
-        return "ok", outcome
-    return "failure", {"kind": outcome.kind, "message": outcome.message}
-
-
-# -- shard workers ----------------------------------------------------------
-#
-# Shards are warm-pool workers (:func:`repro.experiments.pool.worker_entry`)
-# dispatched in *sweep mode*: each batch frame carries this sweep's cache
-# dir and the shard's namespace, so results land in the shard's private
-# cache namespace *before* the result frame is sent — an orchestrator
-# killed between the two finds the result on resume, exactly as before.
-# The worker executes through this module's ``_execute_any``, which keeps
-# sharded summaries (and therefore journal lines and digests) byte-equal
-# to the inline path.  Specs and result summaries travel as canonical-JSON
-# wire frames (:mod:`repro.experiments.wire`), not pickles, and up to
-# ``SweepOptions.batch_size`` cells ride one pipe round-trip.
-
-
-def _mp_context():
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-class _Shard:
-    """Orchestrator-side bookkeeping for one worker process."""
-
-    __slots__ = (
-        "name",
-        "process",
-        "conn",
-        "busy",
-        "current",  # in-flight [(index, attempt, key), ...], dispatch order
-        "last_beat",
-        "started_at",
-        "stopped",
-    )
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.process = None
-        self.conn = None
-        self.busy = False
-        self.current: List[Tuple[int, int, str]] = []
-        self.last_beat = 0.0
-        self.started_at = 0.0
-        self.stopped = False
-
-
 # -- the orchestrator -------------------------------------------------------
 
 
+class _InlineSession:
+    """``jobs=1``: each poll runs one cell in this process and stores a
+    success before reporting it — the pool session's interface, and the
+    byte-identity reference for pooled sweeps.  Chaos never applies here:
+    it exists to kill *workers*."""
+
+    def __init__(self, cache: Path, timeout_s: Optional[float]) -> None:
+        self._cache = cache
+        self._timeout_s = timeout_s
+        self._queue: deque = deque()
+
+    @property
+    def outstanding(self) -> int:
+        return len(self._queue)
+
+    def submit(self, index: int, spec: AnySpec, key: str, attempt: int = 1) -> None:
+        self._queue.append((index, spec, key, attempt))
+
+    def poll(self, timeout: float) -> List[Dict[str, object]]:
+        if not self._queue:
+            time.sleep(timeout)
+            return []
+        index, spec, key, attempt = self._queue.popleft()
+        outcome = execute_guarded(spec, self._timeout_s)
+        frame: Dict[str, object] = {
+            "frame": "result",
+            "worker": "main",
+            "index": index,
+            "attempt": attempt,
+        }
+        if isinstance(outcome, ExperimentFailure):
+            frame.update(status="failure", kind=outcome.kind, message=outcome.message)
+        else:
+            store_cached(self._cache, key, outcome)
+            frame["status"] = "ok"
+        return [frame]
+
+
 class _Orchestrator:
-    """One run/resume pass: owns the journal, the shards, and the queue."""
+    """One run/resume pass: owns the journal, the retry queue and the
+    budget; a session (inline or pooled) executes what it submits."""
 
     def __init__(
         self,
@@ -567,7 +426,7 @@ class _Orchestrator:
         keys: Sequence[str],
         state: _State,
         options: SweepOptions,
-        bus: Optional[Bus],
+        bus: Bus,
     ) -> None:
         self.specs = specs
         self.keys = keys
@@ -575,19 +434,14 @@ class _Orchestrator:
         self.options = options
         self.bus = bus
         self.outcomes: Dict[int, SweepOutcome] = {}
-        self.attempts_used: Dict[int, int] = {}
-        self.crash_counts: Dict[int, int] = {}
         self.queue: deque = deque()  # (index, attempt) ready now
         self.delayed: List[Tuple[float, int, int]] = []  # (eligible_at, index, attempt)
-        self.in_flight = 0
         self.failure_count = 0
         self.aborting = False
         self.done_since_progress = 0
 
-    # -- events ------------------------------------------------------------
     def emit(self, kind: str, payload: Optional[Dict[str, object]] = None) -> None:
-        if self.bus is not None:
-            self.bus.emit(kind, payload)
+        self.bus.emit(kind, payload)
 
     # -- terminal outcomes -------------------------------------------------
     def record(self, outcome: SweepOutcome) -> None:
@@ -619,32 +473,30 @@ class _Orchestrator:
                 {"done": len(self.outcomes), "total": len(self.specs)},
             )
 
-    def handle_completion(
-        self, shard: str, index: int, attempt: int, summary: Dict[str, object]
-    ) -> None:
+    def handle_result(self, frame: Dict[str, object]) -> None:
+        index = frame["index"]
+        attempt = frame["attempt"]
         key = self.keys[index]
-        self.attempts_used[index] = attempt
-        if summary["status"] == "ok":
+        if frame["status"] == "ok":
             self.record(
                 SweepOutcome(
                     index=index,
                     key=key,
                     status="ok",
                     attempts=attempt,
-                    shard=shard,
-                    elapsed_s=summary.get("elapsed_s"),  # type: ignore[arg-type]
+                    shard=frame["worker"],
+                    elapsed_s=frame.get("elapsed_s"),  # type: ignore[arg-type]
                 )
             )
             return
-        kind = str(summary.get("kind", "error"))
-        message = str(summary.get("message", ""))
+        kind = str(frame.get("kind", "error"))
         if attempt <= self.options.retries:
             delay = backoff_delay(key, attempt, self.options.backoff_base_s)
             self.emit(
                 "sweep.requeue",
                 {
                     "key": key,
-                    "shard": shard,
+                    "shard": frame["worker"],
                     "reason": kind,
                     "attempt": attempt,
                     "delay_s": round(delay, 6),
@@ -658,61 +510,51 @@ class _Orchestrator:
                 key=key,
                 status="failure",
                 kind=kind,
-                message=message,
+                message=str(frame.get("message", "")),
                 attempts=attempt,
             )
         )
 
-    def handle_worker_loss(self, shard_name: str, index: int, attempt: int, reason: str) -> None:
-        """A shard died (``crash``) or was shot by the watchdog (``hang``)."""
+    def handle_loss(self, frame: Dict[str, object]) -> None:
+        """The pool lost a worker (``crash``) or shot it (``hang``) with
+        this spec as the suspect; it has already requeued or blamed it."""
+        from repro.experiments.pool import REQUEUE_LIMIT
+
+        index = frame["index"]
         key = self.keys[index]
-        self.attempts_used[index] = attempt
-        self.crash_counts[index] = self.crash_counts.get(index, 0) + 1
-        if self.crash_counts[index] <= REQUEUE_LIMIT:
-            delay = backoff_delay(key, attempt, self.options.backoff_base_s)
+        reason = frame["reason"]
+        if frame["requeued"]:
             self.emit(
                 "sweep.requeue",
                 {
                     "key": key,
-                    "shard": shard_name,
+                    "shard": frame["worker"],
                     "reason": reason,
-                    "attempt": attempt,
-                    "delay_s": round(delay, 6),
+                    "attempt": frame["attempt"],
+                    "delay_s": 0.0,
                 },
             )
-            self.push_delayed(index, attempt + 1, delay)
             return
-        self.emit(
-            "sweep.quarantine", {"key": key, "shard": shard_name, "reason": reason}
-        )
-        detail = (
-            "worker process died while running this spec"
-            if reason == "crash"
-            else "worker heartbeat lost (hung beyond the SIGALRM deadline)"
-        )
+        self.emit("sweep.quarantine", {"key": key, "shard": frame["worker"], "reason": reason})
         self.record(
             SweepOutcome(
                 index=index,
                 key=key,
                 status="quarantined",
                 kind=reason,
-                message=f"{detail}; requeued {REQUEUE_LIMIT}x, then quarantined",
-                attempts=attempt,
+                message=f"{frame['message']}; requeued {REQUEUE_LIMIT}x, then quarantined",
+                attempts=frame["attempt"],
             )
         )
 
     # -- queue -------------------------------------------------------------
     def push_delayed(self, index: int, attempt: int, delay_s: float) -> None:
-        import heapq
-
         if delay_s <= 0:
             self.queue.append((index, attempt))
         else:
             heapq.heappush(self.delayed, (time.monotonic() + delay_s, index, attempt))
 
     def promote_due(self) -> None:
-        import heapq
-
         now = time.monotonic()
         while self.delayed and self.delayed[0][0] <= now:
             _, index, attempt = heapq.heappop(self.delayed)
@@ -723,283 +565,59 @@ class _Orchestrator:
             return max(0.01, min(0.25, self.delayed[0][0] - time.monotonic()))
         return 0.25
 
-    @property
-    def outstanding(self) -> int:
-        return len(self.queue) + len(self.delayed) + self.in_flight
-
-    # -- inline path -------------------------------------------------------
-    def run_inline(self) -> None:
-        """Serial execution in this process (``jobs=1``, or the drain path
-        after every shard stopped on its SLO).  Chaos is never injected
-        inline — it exists to kill *workers*."""
-        while (self.queue or self.delayed) and not self.aborting:
+    def drive(self, session) -> None:
+        """Feed ``session`` until every spec has a terminal outcome (or
+        the failure budget aborts the pass), journaling as frames arrive."""
+        while (
+            self.queue or self.delayed or session.outstanding
+        ) and not self.aborting:
             self.promote_due()
-            if not self.queue:
-                time.sleep(self.next_wakeup())
-                continue
-            index, attempt = self.queue.popleft()
-            key = self.keys[index]
-            status, result = _execute_any(self.specs[index], self.options.timeout_s)
-            if status == "ok":
-                _store_result(self.state, "main", key, result)
-                self.handle_completion("main", index, attempt, {"status": "ok"})
-            else:
-                summary: Dict[str, object] = {"status": "failure"}
-                summary.update(result)  # type: ignore[arg-type]
-                self.handle_completion("main", index, attempt, summary)
+            while self.queue:
+                index, attempt = self.queue.popleft()
+                session.submit(index, self.specs[index], self.keys[index], attempt)
+            for frame in session.poll(self.next_wakeup()):
+                if frame["frame"] == "result":
+                    self.handle_result(frame)
+                elif frame["frame"] == "lost":
+                    self.handle_loss(frame)
+                else:
+                    self.emit("sweep.heartbeat", {"shard": frame["worker"]})
 
-    # -- sharded path ------------------------------------------------------
-    def run_sharded(self) -> None:
-        from multiprocessing.connection import wait as conn_wait
+    def drive_pool(self, workers: int) -> None:
+        """Run the queue on a private warm pool, then record its telemetry
+        for ``sweep status --json``."""
+        from repro.experiments.pool import Session, WarmPool
 
-        from repro.experiments import pool as pool_mod
-
-        ctx = _mp_context()
-        count = min(self.options.jobs, max(1, len(self.queue)))
-        shards: List[_Shard] = []
-        env_profile = pool_mod.capture_env()
-        telemetry = {
-            "workers_spawned": 0,
-            "dispatches": 0,
-            "specs_dispatched": 0,
-            "max_batch": 0,
-        }
-
-        def spawn(shard: _Shard) -> None:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=pool_mod.worker_entry,
-                args=(
-                    child_conn,
-                    shard.name,
-                    self.options.heartbeat_s,
-                    self.options.chaos,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            telemetry["workers_spawned"] += 1
-            shard.process = process
-            shard.conn = parent_conn
-            shard.busy = False
-            shard.current = []
-            shard.stopped = False
-            now = time.monotonic()
-            shard.last_beat = now
-            shard.started_at = now
-
-        for i in range(count):
-            shard = _Shard(f"shard-{i:02d}")
-            spawn(shard)
-            shards.append(shard)
-
-        def slo_spent(shard: _Shard) -> bool:
-            slo = self.options.shard_slo_s
-            return slo is not None and (time.monotonic() - shard.started_at) > slo
-
-        def stop_shard(shard: _Shard) -> None:
-            if shard.stopped:
-                return
-            shard.stopped = True
-            try:
-                pool_mod.send_frame(shard.conn, {"frame": "stop"})
-            except (BrokenPipeError, OSError):
-                pass
-
-        def kill_shard(shard: _Shard) -> None:
-            if shard.process is not None and shard.process.is_alive():
-                shard.process.kill()
-                shard.process.join(timeout=5)
-            try:
-                shard.conn.close()
-            except OSError:
-                pass
-
-        def lose_shard(shard: _Shard, reason: str) -> None:
-            """Common path for crash (EOF/death) and hang (watchdog kill).
-
-            With batching, only the *first* unfinished item is the suspect
-            (results stream back in dispatch order, so the head of
-            ``current`` is what the worker was executing) and goes through
-            the requeue-once-then-quarantine accounting; the rest of the
-            batch never started and requeues unblamed at the same attempt.
-            """
-            kill_shard(shard)
-            if shard.current:
-                index, attempt, _key = shard.current[0]
-                self.in_flight -= len(shard.current)
-                for rest_index, rest_attempt, _k in reversed(shard.current[1:]):
-                    self.queue.appendleft((rest_index, rest_attempt))
-                self.handle_worker_loss(shard.name, index, attempt, reason)
-            shard.busy = False
-            shard.current = []
-            # Respawn into the same namespace unless the sweep is winding
-            # down or the shard already spent its SLO.
-            if not self.aborting and self.outstanding > 0 and not slo_spent(shard):
-                spawn(shard)
-            else:
-                shard.stopped = True
-
+        options = self.options
+        pool = WarmPool(
+            workers,
+            chaos=options.chaos,
+            heartbeat_s=options.heartbeat_s,
+            hang_timeout_s=options.hang_timeout_s,
+        )
         try:
-            while self.outstanding > 0 and not self.aborting:
-                self.promote_due()
-                # Dispatch to idle shards.
-                for shard in shards:
-                    if not self.queue:
-                        break
-                    if shard.stopped or shard.busy:
-                        continue
-                    if slo_spent(shard):
-                        self.emit(
-                            "sweep.shard_slo",
-                            {
-                                "shard": shard.name,
-                                "elapsed_s": round(
-                                    time.monotonic() - shard.started_at, 3
-                                ),
-                                "slo_s": self.options.shard_slo_s,
-                            },
-                        )
-                        stop_shard(shard)
-                        continue
-                    batch: List[Tuple[int, int, str]] = []
-                    while self.queue and len(batch) < self.options.batch_size:
-                        index, attempt = self.queue.popleft()
-                        batch.append((index, attempt, self.keys[index]))
-                    items = [
-                        {
-                            "index": index,
-                            "attempt": attempt,
-                            "key": key,
-                            "spec": self.specs[index],
-                            "timeout_s": self.options.timeout_s,
-                            "env": env_profile,
-                        }
-                        for index, attempt, key in batch
-                    ]
-                    try:
-                        pool_mod.send_frame(
-                            shard.conn,
-                            {
-                                "frame": "batch",
-                                "cache_dir": str(self.state.cache),
-                                "namespace": shard.name,
-                                "items": items,
-                            },
-                        )
-                    except (BrokenPipeError, OSError):
-                        for index, attempt, _key in reversed(batch):
-                            self.queue.appendleft((index, attempt))
-                        lose_shard(shard, "crash")
-                        continue
-                    shard.busy = True
-                    shard.current = batch
-                    shard.last_beat = time.monotonic()
-                    self.in_flight += len(batch)
-                    telemetry["dispatches"] += 1
-                    telemetry["specs_dispatched"] += len(batch)
-                    telemetry["max_batch"] = max(telemetry["max_batch"], len(batch))
-
-                live = [s for s in shards if not s.stopped and s.conn is not None]
-                if not live:
-                    # Every shard stopped (SLO) or died unrecoverably:
-                    # drain the remainder inline so the sweep completes.
-                    self.run_inline()
-                    break
-
-                ready = conn_wait([s.conn for s in live], timeout=self.next_wakeup())
-                for conn in ready:
-                    shard = next(s for s in live if s.conn is conn)
-                    try:
-                        while conn.poll():
-                            message = pool_mod.recv_frame(conn)
-                            kind = message.get("frame")
-                            if kind == "heartbeat":
-                                shard.last_beat = time.monotonic()
-                                self.emit("sweep.heartbeat", {"shard": shard.name})
-                            elif kind == "result":
-                                index = message["index"]
-                                attempt = message["attempt"]
-                                shard.current = [
-                                    entry
-                                    for entry in shard.current
-                                    if entry[0] != index
-                                ]
-                                shard.busy = bool(shard.current)
-                                shard.last_beat = time.monotonic()
-                                self.in_flight -= 1
-                                summary: Dict[str, object] = {
-                                    "status": message["status"],
-                                    "elapsed_s": message.get("elapsed_s"),
-                                }
-                                if message["status"] != "ok":
-                                    summary["kind"] = message.get("kind", "error")
-                                    summary["message"] = message.get("message", "")
-                                self.handle_completion(
-                                    message.get("worker", shard.name),
-                                    index,
-                                    attempt,
-                                    summary,
-                                )
-                                if not shard.busy and slo_spent(shard):
-                                    self.emit(
-                                        "sweep.shard_slo",
-                                        {
-                                            "shard": shard.name,
-                                            "elapsed_s": round(
-                                                time.monotonic() - shard.started_at, 3
-                                            ),
-                                            "slo_s": self.options.shard_slo_s,
-                                        },
-                                    )
-                                    stop_shard(shard)
-                    except (EOFError, OSError, pool_mod.wire.WireError):
-                        lose_shard(shard, "crash")
-
-                # Watchdog: a busy shard whose heartbeats stopped is hung.
-                hang_after = self.options.hang_timeout_s
-                if hang_after is not None:
-                    now = time.monotonic()
-                    for shard in shards:
-                        if (
-                            not shard.stopped
-                            and shard.busy
-                            and now - shard.last_beat > hang_after
-                        ):
-                            lose_shard(shard, "hang")
+            with Session(
+                pool,
+                workers,
+                timeout_s=options.timeout_s,
+                batch_size=options.batch_size,
+                cache_dir=self.state.cache,
+            ) as session:
+                self.drive(session)
         finally:
-            for shard in shards:
-                stop_shard(shard)
-            deadline = time.monotonic() + 5.0
-            for shard in shards:
-                if shard.process is not None:
-                    shard.process.join(timeout=max(0.1, deadline - time.monotonic()))
-                    if shard.process.is_alive():
-                        shard.process.kill()
-                        shard.process.join(timeout=5)
-                try:
-                    shard.conn.close()
-                except (OSError, AttributeError):
-                    pass
-            # Pool telemetry for `sweep status --json`: how well dispatch
-            # batching amortized the pipe, and how warm the shards ran.
-            dispatches = telemetry["dispatches"]
+            pool.shutdown()
+            telemetry = pool.telemetry()
             try:
                 append_journal_line(
                     self.state.journal,
                     {
                         "event": "pool",
-                        "workers": count,
+                        "workers": workers,
                         "workers_spawned": telemetry["workers_spawned"],
-                        "batch_size": self.options.batch_size,
-                        "dispatches": dispatches,
+                        "batch_size": options.batch_size,
+                        "dispatches": telemetry["dispatches"],
                         "specs_dispatched": telemetry["specs_dispatched"],
-                        "specs_per_dispatch": round(
-                            telemetry["specs_dispatched"] / dispatches, 3
-                        )
-                        if dispatches
-                        else 0.0,
+                        "specs_per_dispatch": round(telemetry["specs_per_dispatch"], 3),
                         "max_batch": telemetry["max_batch"],
                     },
                     fsync=False,
@@ -1038,17 +656,13 @@ def _build_report(
             continue  # incomplete (aborted) sweep: digest covers what ran
         ordered.append(outcome)
         if outcome.status == "ok":
-            namespace = outcome.shard or "main"
-            result = _load_result(state, namespace, outcome.key)
+            result = load_cached(state.cache, outcome.key)
             if result is None:
-                found = _find_cached(state, outcome.key)
-                if found is None:
-                    raise SweepError(
-                        f"journal says spec {index} ({outcome.key[:12]}…) "
-                        "succeeded but its cached result is missing; the "
-                        "cache was pruned out from under the journal"
-                    )
-                _namespace, result = found
+                raise SweepError(
+                    f"journal says spec {index} ({outcome.key[:12]}…) "
+                    "succeeded but its cached result is missing; the "
+                    "cache was pruned out from under the journal"
+                )
             digest.update(_result_digest_line(outcome.key, result).encode())
         else:
             digest.update(outcome.digest_line().encode())
@@ -1094,7 +708,7 @@ def run_sweep(
     bus = Bus(WallClock(), all_sinks)
 
     orch = _Orchestrator(specs, keys, state, options, bus)
-    orch.outcomes = _load_journal_outcomes(state)
+    orch.outcomes = _journal_outcomes(_read_journal(state))
     orch.failure_count = sum(1 for o in orch.outcomes.values() if o.failed)
 
     pending: List[int] = []
@@ -1103,18 +717,8 @@ def run_sweep(
             continue
         # A worker may have cached the result right before the previous
         # orchestrator died without journaling it: adopt, don't re-run.
-        found = _find_cached(state, key)
-        if found is not None:
-            namespace, _result = found
-            orch.record(
-                SweepOutcome(
-                    index=index,
-                    key=key,
-                    status="ok",
-                    attempts=0,
-                    shard=namespace,
-                )
-            )
+        if load_cached(state.cache, key) is not None:
+            orch.record(SweepOutcome(index=index, key=key, status="ok", attempts=0))
             continue
         pending.append(index)
 
@@ -1127,9 +731,9 @@ def run_sweep(
 
     if orch.queue and not orch.aborting:
         if options.jobs <= 1:
-            orch.run_inline()
+            orch.drive(_InlineSession(state.cache, options.timeout_s))
         else:
-            orch.run_sharded()
+            orch.drive_pool(min(options.jobs, len(orch.queue)))
 
     report = _build_report(state, keys, orch.outcomes, aborted=orch.aborting)
     counts = report.counts()
@@ -1154,27 +758,16 @@ def collect_report(
     specs = list(specs)
     keys = [sweep_spec_key(spec) for spec in specs]
     state = _open_state(state_dir, keys, resume=True)
-    outcomes = _load_journal_outcomes(state)
+    outcomes = _journal_outcomes(_read_journal(state))
     return _build_report(state, keys, outcomes, aborted=False)
 
 
 def sweep_status(state_dir: os.PathLike) -> Dict[str, object]:
     """Journal/meta summary for ``repro sweep status`` (no results loaded)."""
-    root = Path(state_dir)
-    meta_path = root / META_NAME
-    if not meta_path.exists():
-        raise SweepError(f"no sweep checkpoint at {root} (missing {META_NAME})")
-    import json
-
-    with meta_path.open("r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    state = _State(
-        root=root,
-        journal=root / JOURNAL_NAME,
-        events=root / EVENTS_NAME,
-        cache=root / CACHE_DIRNAME,
-    )
-    outcomes = _load_journal_outcomes(state)
+    state = _State.at(state_dir)
+    meta = _read_meta(state.root)
+    records = _read_journal(state)
+    outcomes = _journal_outcomes(records)
     counts = {"ok": 0, "failure": 0, "quarantined": 0}
     by_shard: Dict[str, int] = {}
     attempts = 0
@@ -1186,16 +779,16 @@ def sweep_status(state_dir: os.PathLike) -> Dict[str, object]:
     total = int(meta.get("count", 0))
     aborted = False
     pool: Optional[Dict[str, object]] = None
-    for record in read_journal(state.journal):
+    for record in records:
         event = record.get("event")
         if event == "abort":
             aborted = True
         elif event == "pool":
             # Last record wins: one per run/resume pass; a resumed sweep's
-            # status reflects its most recent sharded pass.
+            # status reflects its most recent pooled pass.
             pool = {k: v for k, v in record.items() if k != "event"}
     return {
-        "state_dir": str(root),
+        "state_dir": str(state.root),
         "total": total,
         "done": len(outcomes),
         "pending": total - len(outcomes),
@@ -1219,13 +812,7 @@ def specs_from_meta(state_dir: os.PathLike) -> List[AnySpec]:
     matches the journal.
     """
     root = Path(state_dir)
-    meta_path = root / META_NAME
-    if not meta_path.exists():
-        raise SweepError(f"no sweep checkpoint at {root} (missing {META_NAME})")
-    import json
-
-    with meta_path.open("r", encoding="utf-8") as handle:
-        meta = json.load(handle)
+    meta = _read_meta(root)
     if "grid" in meta:
         return list(expand_grid(dict(meta["grid"])))
     if "synthetic" in meta:
@@ -1238,8 +825,8 @@ def specs_from_meta(state_dir: os.PathLike) -> List[AnySpec]:
             )
         )
     raise SweepError(
-        f"{meta_path} does not describe its specs (created via the Python "
-        "API?); resume through run_sweep(..., resume=True) with the "
+        f"{root / META_NAME} does not describe its specs (created via the "
+        "Python API?); resume through run_sweep(..., resume=True) with the "
         "original spec list"
     )
 

@@ -55,14 +55,12 @@ logged to ``<state_dir>/events.jsonl`` via :class:`JsonlSink`):
 - ``sweep.start`` / ``sweep.done`` — one orchestrator pass over a sweep
   (``total``, ``pending``; done adds ``ok``/``failed``/``quarantined``);
 - ``sweep.progress`` — periodic completion counter (``done``, ``total``);
-- ``sweep.heartbeat`` — a shard's liveness beat was observed (``shard``);
+- ``sweep.heartbeat`` — a worker's liveness beat was observed (``shard``);
 - ``sweep.requeue`` — a spec went back to the queue after a crash, hang,
   or retryable failure (``key``, ``shard``, ``reason``, ``attempt``,
   ``delay_s``);
 - ``sweep.quarantine`` — a poison spec was retired after its requeue
   budget (``key``, ``shard``, ``reason``);
-- ``sweep.shard_slo`` — a shard exceeded its wall-clock SLO and stopped
-  claiming work (``shard``, ``elapsed_s``, ``slo_s``);
 - ``sweep.abort`` — the ``max_failures`` budget was exhausted
   (``failures``, ``budget``).
 """

@@ -135,7 +135,7 @@ def run_direct(
 class JobChaos:
     """Declarative, test-only fault injection for the job manager.
 
-    Mirrors the sweep orchestrator's ``SweepChaos``: tests describe the
+    Mirrors the pool's ``PoolChaos``: tests describe the
     crash instead of racing a real ``SIGKILL``.  ``die_after_specs`` stops
     the manager cold after that many spec journal lines have been written
     this session — no terminal record, no event flush — which is exactly
@@ -672,15 +672,12 @@ class JobManager:
             # worker, so interpreter startup is paid once per server, not
             # per job — and because pool workers run specs on their *main*
             # thread, the SIGALRM per-spec deadline works here, which it
-            # never could on a JobManager thread.  REPRO_POOL=0 restores
-            # the in-thread reference path.
+            # never could on a JobManager thread.
             from repro.experiments import pool as pool_mod
 
-            if pool_mod.pool_enabled():
-                return pool_mod.get_pool(self._pool_workers).run_one(
-                    spec, timeout_s=self._timeout_s, retries=self._retries
-                )
-            return execute_guarded(spec, timeout_s=self._timeout_s, retries=self._retries)
+            return pool_mod.get_pool(self._pool_workers).run_one(
+                spec, timeout_s=self._timeout_s, retries=self._retries
+            )
         # Trace scenarios run through the recorder so the op streams land
         # next to the job; the returned result is the normal live result.
         from repro.trace.record import record_experiment

@@ -465,6 +465,34 @@ class TestJsonOutputs:
         assert code == 1
         assert "digest mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("meta", [b'{"version": 1, "cou', b"[1, 2]"])
+    @pytest.mark.parametrize("command", ["status", "resume"])
+    def test_corrupt_sweep_meta_is_an_input_error(self, tmp_path, capsys, meta, command):
+        state = tmp_path / "sweep"
+        assert main(["sweep", "run", "--state-dir", str(state), "--synthetic", "2"]) == 0
+        capsys.readouterr()
+        (state / "meta.json").write_bytes(meta)
+        assert main(["sweep", command, "--state-dir", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert "meta.json" in err and "Traceback" not in err
+
+    def test_cache_prune_keeps_a_finished_sweep(self, tmp_path, capsys):
+        state = str(tmp_path / "sweep")
+        argv = ["sweep", "run", "--state-dir", state, "--synthetic", "6"]
+        assert main(argv + ["--synthetic-fail-every", "3"]) == 1
+        capsys.readouterr()
+        status = ["sweep", "status", "--state-dir", state, "--digest", "--json"]
+        assert main(status) == 0
+        before = json.loads(capsys.readouterr().out)["digest"]
+        cache = str(tmp_path / "sweep" / "cache")
+        assert main(["cache", "list", "--cache-dir", cache, "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [entry["status"] for entry in entries] == ["ok"] * 4
+        assert main(["cache", "prune", "--cache-dir", cache]) == 0
+        assert "pruned 0 entries" in capsys.readouterr().out
+        assert main(status) == 0
+        assert json.loads(capsys.readouterr().out)["digest"] == before
+
     def test_sweep_status_expect_requires_digest(self, tmp_path, capsys):
         state = str(tmp_path / "sweep")
         assert main(["sweep", "run", "--state-dir", state, "--synthetic", "1"]) == 0

@@ -150,17 +150,11 @@ def test_ensemble_metrics_match_manual_bootstrap(scale, tmp_path):
 
 
 def _collect_results(state_dir, report):
-    from repro.experiments.sweep import _State, _find_cached
+    from repro.experiments.runner import load_cached
 
-    state = _State(
-        root=state_dir,
-        journal=state_dir / "journal.jsonl",
-        events=state_dir / "events.jsonl",
-        cache=state_dir / "cache",
-    )
     results = []
     for outcome in report.sweep.ok:
-        found = _find_cached(state, outcome.key)
-        assert found is not None
-        results.append(found[1])
+        result = load_cached(state_dir / "cache", outcome.key)
+        assert result is not None
+        results.append(result)
     return results

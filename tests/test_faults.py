@@ -18,7 +18,7 @@ import pytest
 from repro.experiments.runner import (
     ExperimentFailure,
     ExperimentGridError,
-    _store_cached,
+    store_cached,
     cache_entries,
     prune_cache,
     run_specs,
@@ -351,8 +351,8 @@ class TestRunnerContainment:
 
     def test_store_cached_refuses_non_results(self, tmp_path):
         failure = ExperimentFailure(spec=None, kind="error", message="nope")
-        _store_cached(tmp_path, "somekey", failure)
-        _store_cached(tmp_path, "otherkey", None)
+        store_cached(tmp_path, "somekey", failure)
+        store_cached(tmp_path, "otherkey", None)
         assert not any(tmp_path.iterdir())
 
     def test_run_specs_validates_arguments(self, scale):

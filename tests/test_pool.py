@@ -26,13 +26,8 @@ from repro.experiments.runner import (
     run_specs,
     spec_key,
 )
-from repro.experiments.sweep import (
-    SweepOptions,
-    SyntheticResult,
-    SyntheticSpec,
-    run_sweep,
-    synthetic_specs,
-)
+from repro.experiments.sweep import SweepOptions, run_sweep
+from repro.experiments.synthetic import SyntheticResult, SyntheticSpec, synthetic_specs
 from repro.machine import ExperimentSpec
 
 
@@ -114,15 +109,12 @@ class TestWarmReuse:
         pooled = [serialize_result(r) for r in warm_pool.run(specs)]
         assert pooled == inline
 
-    def test_pool_on_off_grids_are_byte_identical(self, scale, monkeypatch):
+    def test_pool_on_off_grids_are_byte_identical(self, scale):
+        # jobs=1 runs inline (pool off), the byte-identity reference.
         specs = [_spec(scale, v) for v in "OR"]
-        monkeypatch.setenv("REPRO_POOL", "0")
-        assert not pool_mod.pool_enabled()
-        legacy = [serialize_result(r) for r in run_specs(specs, jobs=2)]
-        monkeypatch.delenv("REPRO_POOL")
-        assert pool_mod.pool_enabled()
+        inline = [serialize_result(r) for r in run_specs(specs, jobs=1)]
         pooled = [serialize_result(r) for r in run_specs(specs, jobs=2)]
-        assert pooled == legacy
+        assert pooled == inline
 
     def test_batched_sweep_matches_inline_digest(self, tmp_path):
         specs = synthetic_specs(60, fail_every=13)
@@ -138,6 +130,28 @@ class TestWarmReuse:
         )
         assert sharded.digest == inline.digest
         assert sharded.counts() == inline.counts()
+
+    def test_deadline_applies_alike_inline_and_pooled(self, tmp_path):
+        """Synthetic cells get the same SIGALRM budget inline and on
+        workers, so a sweep with ``timeout_s`` merges to one digest."""
+        specs = [
+            SyntheticSpec(index=i, sleep_s=5.0 if i % 3 == 0 else 0.0)
+            for i in range(6)
+        ]
+        inline = run_sweep(
+            specs,
+            tmp_path / "inline",
+            options=SweepOptions(timeout_s=0.2, fsync_journal=False),
+        )
+        pooled = run_sweep(
+            specs,
+            tmp_path / "pooled",
+            options=SweepOptions(
+                jobs=2, timeout_s=0.2, heartbeat_s=0.1, fsync_journal=False
+            ),
+        )
+        assert pooled.digest == inline.digest
+        assert [o.kind for o in inline.failures] == ["timeout", "timeout"]
 
 
 # -- env-knob hygiene across dispatches --------------------------------------
@@ -295,18 +309,43 @@ def test_worker_dies_on_sigterm_despite_inherited_handler():
         signal.signal(signal.SIGTERM, previous)
 
 
-# -- knob and sizing edges ---------------------------------------------------
+# -- the hang watchdog -------------------------------------------------------
 
 
-def test_pool_enabled_values(monkeypatch):
-    for value in ("0", "off", "False", "NO"):
-        monkeypatch.setenv("REPRO_POOL", value)
-        assert not pool_mod.pool_enabled()
-    for value in ("1", "on", ""):
-        monkeypatch.setenv("REPRO_POOL", value)
-        assert pool_mod.pool_enabled()
-    monkeypatch.delenv("REPRO_POOL")
-    assert pool_mod.pool_enabled()
+class TestWatchdog:
+    def test_poison_hang_fails_alone_as_hang(self):
+        specs = [SyntheticSpec(index=i) for i in range(4)]
+        chaos = PoolChaos(hang_keys=(item_key(specs[1]),))  # hangs every time
+        pool = WarmPool(2, chaos=chaos, heartbeat_s=0.05, hang_timeout_s=0.4)
+        try:
+            outcomes = pool.run(specs, batch_size=2)
+            hung = outcomes[1]
+            assert isinstance(hung, ExperimentFailure)
+            assert hung.kind == "hang" and hung.attempts == 2
+            rest = outcomes[:1] + outcomes[2:]
+            assert all(isinstance(o, SyntheticResult) for o in rest)
+            assert pool.telemetry()["crashes"] == 2
+        finally:
+            pool.shutdown()
+
+    def test_hang_flake_recovers_on_requeue(self):
+        specs = [SyntheticSpec(index=i) for i in range(4)]
+        chaos = PoolChaos(hang_keys=(item_key(specs[0]),), max_attempt=1)
+        pool = WarmPool(2, chaos=chaos, heartbeat_s=0.05, hang_timeout_s=0.4)
+        try:
+            outcomes = pool.run(specs, batch_size=2)
+            assert all(isinstance(o, SyntheticResult) for o in outcomes)
+            assert [o.index for o in outcomes] == list(range(4))
+            assert pool.telemetry()["crashes"] == 1
+        finally:
+            pool.shutdown()
+
+    def test_hang_timeout_needs_heartbeats(self):
+        with pytest.raises(ValueError):
+            WarmPool(1, hang_timeout_s=1.0)
+
+
+# -- sizing edges ------------------------------------------------------------
 
 
 def test_rejects_nonpositive_workers():

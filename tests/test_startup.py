@@ -119,6 +119,13 @@ def test_star_import_resolves_all(package, tmp_path):
     _python(code, tmp_path)
 
 
+def test_pool_does_not_import_the_sweep(tmp_path):
+    """The sweep sits on top of the pool, never the other way round."""
+    loaded = _modules_after("import repro.experiments.pool", tmp_path)
+    assert "repro.experiments.pool" in loaded
+    assert "repro.experiments.sweep" not in loaded
+
+
 def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError):
         repro.no_such_name  # noqa: B018

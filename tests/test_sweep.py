@@ -167,7 +167,7 @@ class TestInlineSweep:
         def forbidden(spec, timeout_s):
             raise AssertionError("resume re-ran a completed spec")
 
-        monkeypatch.setattr(sweep_mod, "_execute_any", forbidden)
+        monkeypatch.setattr(sweep_mod, "execute_guarded", forbidden)
         resumed = run_sweep(specs, tmp_path / "s", options=_quick(), resume=True)
         assert resumed.digest == first.digest
 
@@ -183,7 +183,7 @@ class TestInlineSweep:
         def forbidden(spec, timeout_s):
             raise AssertionError("adoptable cached result was re-run")
 
-        monkeypatch.setattr(sweep_mod, "_execute_any", forbidden)
+        monkeypatch.setattr(sweep_mod, "execute_guarded", forbidden)
         resumed = run_sweep(specs, tmp_path / "s", options=_quick(), resume=True)
         assert resumed.digest == first.digest
         adopted = [o for o in resumed.outcomes if o.attempts == 0]
@@ -268,6 +268,33 @@ class TestInlineSweep:
             sweep_spec_key(s) for s in specs
         ]
 
+    @pytest.mark.parametrize("meta", [b'{"version": 1, "cou', b"[1, 2]"])
+    def test_corrupt_meta_is_a_sweep_error(self, tmp_path, meta):
+        specs = synthetic_specs(2)
+        run_sweep(specs, tmp_path / "s", options=_quick())
+        (tmp_path / "s" / "meta.json").write_bytes(meta)
+        with pytest.raises(SweepError, match="meta.json"):
+            sweep_status(tmp_path / "s")
+        with pytest.raises(SweepError, match="meta.json"):
+            specs_from_meta(tmp_path / "s")
+        with pytest.raises(SweepError, match="meta.json"):
+            run_sweep(specs, tmp_path / "s", options=_quick(), resume=True)
+
+    def test_results_share_the_runner_cache_layout(self, tmp_path):
+        from repro.experiments.runner import cache_entries
+
+        specs = synthetic_specs(4, fail_every=2)
+        run_sweep(specs, tmp_path / "s", options=_quick())
+        cache = tmp_path / "s" / "cache"
+        entries = cache_entries(cache)
+        assert {e.path.stem for e in entries} == {
+            sweep_spec_key(s) for s in specs if not s.fail
+        }
+        assert {e.status for e in entries} == {"ok"}
+        # A synthetic result filed under a key other than its own is stale.
+        entries[0].path.rename(cache / ("0" * 64 + ".pkl"))
+        assert sorted(e.status for e in cache_entries(cache)) == ["ok", "stale"]
+
     def test_specs_from_meta_requires_description(self, tmp_path):
         run_sweep(synthetic_specs(2), tmp_path / "s", options=_quick())
         with pytest.raises(SweepError, match="does not describe"):
@@ -283,7 +310,7 @@ class TestShardedSweep:
         inline = run_sweep(specs, tmp_path / "a", options=_quick())
         sharded = run_sweep(specs, tmp_path / "b", options=_quick(jobs=3))
         assert sharded.digest == inline.digest
-        # Work actually spread across shard namespaces.
+        # Work actually spread across pool workers.
         shards = {o.shard for o in sharded.ok}
         assert len(shards) > 1
 
@@ -414,7 +441,7 @@ class TestOptions:
             {"timeout_s": 0},
             {"heartbeat_s": 0},
             {"hang_timeout_s": 0},
-            {"shard_slo_s": 0},
+            {"batch_size": 0},
             {"max_failures": -1},
             {"backoff_base_s": -0.1},
         ],
