@@ -13,11 +13,18 @@ Three phases, all under a dispatcher peak-RSS budget:
    mid-batch (``SweepChaos.crash_keys``) must converge to the same
    digest: only the blamed spec is retried, batchmates are requeued at
    the same attempt.
+4. **Real-result sweep** — four real tiny cells (MATVEC O/R × the
+   default sleep and sleep 0) are stored and re-read through a sweep,
+   inline and on the pool.  The merged digests must match each other
+   and ``collect_report``'s, and every stored cell must serialize to its
+   golden digest in ``tests/golden/serialized_digests.json``.
 
 Exits non-zero with a diagnostic on any divergence.  Run from the repo
 root with ``PYTHONPATH=src``.
 """
 
+import hashlib
+import json
 import os
 import resource
 import sys
@@ -27,6 +34,9 @@ from pathlib import Path
 RSS_BUDGET_MB = 512
 SWEEP_SPECS = 1000
 FAIL_EVERY = 137
+GOLDEN_PATH = (
+    Path(__file__).resolve().parent.parent / "tests" / "golden" / "serialized_digests.json"
+)
 
 
 def fail(message: str) -> None:
@@ -137,6 +147,49 @@ def sweep_chaos(root: Path, reference: str) -> None:
     check_rss("sweep chaos")
 
 
+def real_sweep(root: Path) -> None:
+    from repro.bench import _grid_wide, serialize_result
+    from repro.experiments.runner import load_cached
+    from repro.experiments.sweep import (
+        SweepOptions,
+        collect_report,
+        run_sweep,
+        sweep_spec_key,
+    )
+
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["cases"]["grid_wide"]
+    # grid_wide crosses each benchmark × version with (default sleep, 0).
+    cells = [
+        (index, spec)
+        for index, spec in enumerate(_grid_wide())
+        if spec.processes[0].workload == "MATVEC"
+        and spec.processes[0].version in ("O", "R")
+    ]
+    if len(cells) != 4:
+        fail(f"real sweep: expected 4 MATVEC O/R cells in grid_wide, got {len(cells)}")
+    specs = [spec for _, spec in cells]
+    digests = {}
+    for name, jobs in (("real-inline", 1), ("real-pooled", 2)):
+        report = run_sweep(specs, root / name, options=SweepOptions(jobs=jobs))
+        if report.counts()["ok"] != len(specs):
+            fail(f"{name}: not every real cell succeeded: {report.counts()}")
+        collected = collect_report(specs, root / name).digest
+        if collected != report.digest:
+            fail(f"{name}: collect_report digest {collected} != run digest {report.digest}")
+        for index, spec in cells:
+            result = load_cached(root / name / "cache", sweep_spec_key(spec))
+            if result is None:
+                fail(f"{name}: grid_wide[{index}] has no stored result")
+            text = serialize_result(result)
+            if hashlib.sha256(text.encode("utf-8")).hexdigest() != golden[index]:
+                fail(f"{name}: stored grid_wide[{index}] diverged from its golden digest")
+        digests[name] = report.digest
+        print(f"{name}: {len(specs)} real cells digest={report.digest[:16]}…")
+    if digests["real-pooled"] != digests["real-inline"]:
+        fail(f"real-result pooled digest diverged from inline: {digests}")
+    check_rss("real sweep")
+
+
 def main() -> int:
     os.environ.setdefault("PYTHONPATH", "src")
     grid_parity()
@@ -144,10 +197,11 @@ def main() -> int:
         root = Path(tmp)
         reference = sweep_scale(root)
         sweep_chaos(root, reference)
+        real_sweep(root)
     print(
         "pool-equivalence-check: OK (warm pool and serial runs are "
         "byte-identical; batched + crashed sweeps merge to the inline "
-        "digest)"
+        "digest; stored real results match their golden digests)"
     )
     return 0
 

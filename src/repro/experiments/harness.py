@@ -26,7 +26,7 @@ from repro.machine import (
 from repro.sim.stats import TimeBuckets
 from repro.vm.stats import AddressSpaceStats, VmStats
 from repro.workloads.base import OutOfCoreWorkload
-from repro.workloads.interactive import SweepSample
+from repro.workloads.interactive import SweepLog, SweepSample
 
 __all__ = [
     "MultiprogramResult",
@@ -54,20 +54,20 @@ class MultiprogramResult:
     interactive_stats: Optional[AddressSpaceStats]
     vm: VmStats
     runtime: RuntimeStats
-    sweeps: List[SweepSample] = field(default_factory=list)
+    sweeps: SweepLog = field(default_factory=SweepLog)
     swap: Dict[str, float] = field(default_factory=dict)
 
     def mean_response(self, skip_warmup: int = 1) -> float:
         samples = self.sweeps[skip_warmup:] or self.sweeps
         if not samples:
             return float("nan")
-        return sum(s.response_time for s in samples) / len(samples)
+        return sum(samples.response_time) / len(samples)
 
     def mean_interactive_hard_faults(self, skip_warmup: int = 1) -> float:
         samples = self.sweeps[skip_warmup:] or self.sweeps
         if not samples:
             return float("nan")
-        return sum(s.hard_faults for s in samples) / len(samples)
+        return sum(samples.hard_faults) / len(samples)
 
 
 def _workload_name(workload: Union[str, OutOfCoreWorkload]) -> str:
@@ -117,7 +117,7 @@ def to_multiprogram(result: ExperimentResult) -> MultiprogramResult:
         ),
         vm=result.vm,
         runtime=hog.runtime,
-        sweeps=list(interactive.sweeps) if interactive is not None else [],
+        sweeps=interactive.sweeps.copy() if interactive is not None else SweepLog(),
         swap=dict(result.swap),
     )
 

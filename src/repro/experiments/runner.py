@@ -171,12 +171,17 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 def load_cached(
     cache_dir: Path, key: str
 ) -> Optional[Union[ExperimentResult, SyntheticResult]]:
-    """Load one cached result, or ``None`` (missing, corrupt, or stale)."""
+    """Load one cached result, or ``None`` (missing, corrupt, or stale).
+
+    Unpickling damaged bytes can raise nearly anything (``ValueError``,
+    ``UnicodeDecodeError``, ``MemoryError``, ``zlib.error`` from a sweep
+    log's packed text, ...), so every failure to load is a miss.
+    """
     path = _cache_path(Path(cache_dir), key)
     try:
         with path.open("rb") as handle:
             result = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+    except Exception:
         return None  # missing, corrupt, or stale entry: just re-run
     if not isinstance(result, _RESULT_TYPES):
         return None

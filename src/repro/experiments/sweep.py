@@ -354,13 +354,17 @@ def _read_journal(state: _State) -> List[Dict[str, object]]:
 
 
 def _journal_outcomes(records: Sequence[Dict[str, object]]) -> Dict[int, SweepOutcome]:
-    """Terminal outcomes by spec index (first terminal record wins)."""
+    """Terminal outcomes by spec index.
+
+    The last terminal record wins: a resume that re-runs a cell whose
+    stored result went missing journals the cell again.
+    """
     outcomes: Dict[int, SweepOutcome] = {}
     for record in records:
         if record.get("event") != "spec":
             continue
         index = record.get("index")
-        if not isinstance(index, int) or index in outcomes:
+        if not isinstance(index, int):
             continue
         outcomes[index] = SweepOutcome(
             index=index,
@@ -660,8 +664,8 @@ def _build_report(
             if result is None:
                 raise SweepError(
                     f"journal says spec {index} ({outcome.key[:12]}…) "
-                    "succeeded but its cached result is missing; the "
-                    "cache was pruned out from under the journal"
+                    "succeeded but its cached result is missing or corrupt; "
+                    "`repro sweep resume` re-runs it"
                 )
             digest.update(_result_digest_line(outcome.key, result).encode())
         else:
@@ -709,6 +713,11 @@ def run_sweep(
 
     orch = _Orchestrator(specs, keys, state, options, bus)
     orch.outcomes = _journal_outcomes(_read_journal(state))
+    for index, outcome in list(orch.outcomes.items()):
+        # A journaled success whose stored result is gone or unreadable
+        # (pruned, truncated, bit-flipped) is re-run, not reported.
+        if outcome.status == "ok" and load_cached(state.cache, outcome.key) is None:
+            del orch.outcomes[index]
     orch.failure_count = sum(1 for o in orch.outcomes.values() if o.failed)
 
     pending: List[int] = []

@@ -98,7 +98,7 @@ def _register_core() -> None:
     from repro.sim.stats import TimeBuckets
     from repro.vm.fragmentation import FragmentationSample, FragmentationStats
     from repro.vm.stats import AddressSpaceStats, VmStats
-    from repro.workloads.interactive import SweepSample
+    from repro.workloads.interactive import SweepLog
 
     for cls in (
         # Spec side: the full frozen ExperimentSpec tree.
@@ -124,7 +124,7 @@ def _register_core() -> None:
         FragmentationStats,
         FragmentationSample,
         RuntimeStats,
-        SweepSample,
+        SweepLog,
         ExperimentFailure,
         # Synthetic cells, which exercise the pool and sweep at scale.
         SyntheticSpec,

@@ -12,13 +12,15 @@ needs no modification: only the memory hog changes its behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import itertools
+import zlib
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Union
 
 from repro.config import SimScale
 from repro.kernel.kernel import Kernel, KernelProcess
 
-__all__ = ["InteractiveTask", "SweepSample"]
+__all__ = ["InteractiveTask", "SweepLog", "SweepSample"]
 
 
 @dataclass
@@ -30,6 +32,112 @@ class SweepSample:
     hard_faults: int
     soft_faults: int
     rescues: int
+
+
+#: One row of ``repr(List[SweepSample])``; ``%r`` is the dataclass repr's
+#: own ``{value!r}``, so the text is byte-identical to the list's.
+_ROW_FORMAT = (
+    "SweepSample(start_time=%r, response_time=%r, hard_faults=%r, "
+    "soft_faults=%r, rescues=%r)"
+)
+
+
+@dataclass(eq=False, repr=False)
+class SweepLog:
+    """Every sweep of one interactive task, as five parallel columns.
+
+    Behaves like the ``List[SweepSample]`` it replaces: ``len``, truth,
+    iteration and integer indexing yield :class:`SweepSample` rows, a
+    slice is another log, and a log equals the list of its rows.  Its
+    ``repr`` is byte-identical to that list's, which is what
+    :func:`repro.bench.serialize_result` hashes.
+
+    A long log at sleep 0 holds tens of thousands of sweeps, so that text
+    is expensive: nearly all of it is float ``repr``.  It is computed
+    once and kept in ``_text`` (the memo); :meth:`record` clears it.
+    Pickling stores the columns plus the memo, zlib-compressed, so a
+    result stored by a worker serializes for free wherever it is loaded.
+    The wire codec carries the memo too, as the last field.
+    """
+
+    start_time: List[float] = field(default_factory=list)
+    response_time: List[float] = field(default_factory=list)
+    hard_faults: List[int] = field(default_factory=list)
+    soft_faults: List[int] = field(default_factory=list)
+    rescues: List[int] = field(default_factory=list)
+    _text: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # zip() would silently drop rows past the shortest column.
+        if len(set(map(len, self._columns()))) > 1:
+            raise ValueError("SweepLog columns must have equal lengths")
+
+    def _columns(self):
+        return (
+            self.start_time,
+            self.response_time,
+            self.hard_faults,
+            self.soft_faults,
+            self.rescues,
+        )
+
+    def record(
+        self,
+        start_time: float,
+        response_time: float,
+        hard_faults: int,
+        soft_faults: int,
+        rescues: int,
+    ) -> None:
+        """Append one sweep; the memoized text no longer describes the log."""
+        self.start_time.append(start_time)
+        self.response_time.append(response_time)
+        self.hard_faults.append(hard_faults)
+        self.soft_faults.append(soft_faults)
+        self.rescues.append(rescues)
+        self._text = None
+
+    def copy(self) -> "SweepLog":
+        return SweepLog(*map(list, self._columns()), self._text)
+
+    def __len__(self) -> int:
+        return len(self.start_time)
+
+    def __iter__(self) -> Iterator[SweepSample]:
+        return map(SweepSample, *self._columns())
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[SweepSample, "SweepLog"]:
+        if isinstance(index, slice):
+            return SweepLog(*(column[index] for column in self._columns()))
+        return SweepSample(*(column[index] for column in self._columns()))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SweepLog):
+            return self._columns() == other._columns()
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        if self._text is None:
+            # One format over every row at once: no per-row string objects,
+            # which makes this about 40% faster than formatting row by row.
+            template = ", ".join([_ROW_FORMAT] * len(self))
+            values = tuple(itertools.chain.from_iterable(zip(*self._columns())))
+            self._text = "[" + template % values + "]"
+        return self._text
+
+    def __reduce__(self):
+        packed = zlib.compress(repr(self).encode("utf-8"), 1)
+        return (_unpack_log, self._columns() + (packed,))
+
+
+def _unpack_log(start_time, response_time, hard_faults, soft_faults, rescues, packed):
+    """Pickle's constructor for :class:`SweepLog` (see ``__reduce__``)."""
+    text = zlib.decompress(packed).decode("utf-8")
+    return SweepLog(start_time, response_time, hard_faults, soft_faults, rescues, text)
 
 
 class InteractiveTask:
@@ -54,7 +162,7 @@ class InteractiveTask:
         self.process: KernelProcess = kernel.create_process(name)
         self.pages = scale.interactive_pages
         self.segment = self.process.aspace.map_segment("data", self.pages)
-        self.samples: List[SweepSample] = []
+        self.samples = SweepLog()
         self._stop = False
 
     def stop(self) -> None:
@@ -66,13 +174,13 @@ class InteractiveTask:
         samples = self.samples[skip_warmup:] or self.samples
         if not samples:
             return 0.0
-        return sum(s.response_time for s in samples) / len(samples)
+        return sum(samples.response_time) / len(samples)
 
     def mean_hard_faults(self, skip_warmup: int = 1) -> float:
         samples = self.samples[skip_warmup:] or self.samples
         if not samples:
             return 0.0
-        return sum(s.hard_faults for s in samples) / len(samples)
+        return sum(samples.hard_faults) / len(samples)
 
     # -- the task body --------------------------------------------------------
     def run(self):
@@ -90,14 +198,12 @@ class InteractiveTask:
                 if fault is not None:
                     yield from fault
             yield from process.flush()
-            self.samples.append(
-                SweepSample(
-                    start_time=start,
-                    response_time=self.kernel.engine.now - start,
-                    hard_faults=stats.hard_faults - hard0,
-                    soft_faults=stats.soft_faults - soft0,
-                    rescues=stats.rescues - rescues0,
-                )
+            self.samples.record(
+                start,
+                self.kernel.engine.now - start,
+                stats.hard_faults - hard0,
+                stats.soft_faults - soft0,
+                stats.rescues - rescues0,
             )
             yield from process.task.sleep(
                 max(self.sleep_time_s, self.MIN_CYCLE_S)

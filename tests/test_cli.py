@@ -476,6 +476,23 @@ class TestJsonOutputs:
         err = capsys.readouterr().err
         assert "meta.json" in err and "Traceback" not in err
 
+    def test_corrupt_sweep_result_is_an_input_error_then_resumes(self, tmp_path, capsys):
+        state = tmp_path / "sweep"
+        assert main(["sweep", "run", "--state-dir", str(state), "--synthetic", "2"]) == 0
+        digest = capsys.readouterr().out.splitlines()[-1]
+        # A pickle whose one string is not UTF-8: unpickling raises
+        # UnicodeDecodeError, not an UnpicklingError.
+        entry = sorted((state / "cache").glob("*.pkl"))[0]
+        entry.write_bytes(b"\x80\x05X\x02\x00\x00\x00\xff\xfe.")
+        status = ["sweep", "status", "--state-dir", str(state), "--digest"]
+        assert main(status) == 2
+        err = capsys.readouterr().err
+        assert "repro sweep resume" in err and "Traceback" not in err
+        assert main(["sweep", "resume", "--state-dir", str(state)]) == 0
+        assert digest in capsys.readouterr().out
+        assert main(status) == 0
+        assert digest in capsys.readouterr().out
+
     def test_cache_prune_keeps_a_finished_sweep(self, tmp_path, capsys):
         state = str(tmp_path / "sweep")
         argv = ["sweep", "run", "--state-dir", state, "--synthetic", "6"]

@@ -8,6 +8,10 @@ each case on the current tree under the default policy and compare digests
 — so the policy refactor, and any future engine or VM change, is held to
 the "byte-identical results" contract rather than a fuzzy tolerance.
 
+Each result is also stored in the runner's cache and loaded back.  A
+loaded result serializes from the sweep-log text stored with it (see
+:class:`repro.workloads.interactive.SweepLog`), so it must match too.
+
 This supersedes ``test_engine_equivalence.py``: the heap scheduler these
 goldens were originally A/B'd against is gone, and the frozen digests are
 now the single source of truth for event-order identity.
@@ -20,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro import bench
+from repro.experiments.runner import load_cached, spec_key, store_cached
 from repro.machine import run_experiment
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "serialized_digests.json"
@@ -30,9 +35,17 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 CASES = sorted(GOLDEN["cases"])
 
 
-def _digest(spec) -> str:
-    serialized = bench.serialize_result(run_experiment(spec))
-    return hashlib.sha256(serialized.encode("utf-8")).hexdigest()
+def _digests(spec, cache):
+    """Digests of the fresh result and of the same result stored in the
+    runner's cache and loaded back, which serializes from stored text."""
+    result = run_experiment(spec)
+    key = spec_key(spec)
+    store_cached(cache, key, result)
+    loaded = load_cached(cache, key)
+    return [
+        hashlib.sha256(bench.serialize_result(r).encode("utf-8")).hexdigest()
+        for r in (result, loaded)
+    ]
 
 
 def test_golden_covers_committed_cases():
@@ -42,7 +55,7 @@ def test_golden_covers_committed_cases():
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_serialized_results_match_golden(case):
+def test_serialized_results_match_golden(case, tmp_path):
     specs = bench.BENCH_CASES[case]()
     expected = GOLDEN["cases"][case]
     assert len(specs) == len(expected), (
@@ -51,7 +64,12 @@ def test_serialized_results_match_golden(case):
         "deliberately if the case itself changed"
     )
     for index, spec in enumerate(specs):
-        assert _digest(spec) == expected[index], (
+        fresh, stored = _digests(spec, tmp_path)
+        assert fresh == expected[index], (
             f"{case}[{index}]: serialized result diverged from the "
             "pre-refactor golden digest"
+        )
+        assert stored == expected[index], (
+            f"{case}[{index}]: a stored-then-loaded result serializes "
+            "differently from a fresh one"
         )

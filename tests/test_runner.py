@@ -5,18 +5,22 @@ import signal
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.config import tiny
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import (
     ExperimentFailure,
     cache_entries,
     execute_guarded,
+    load_cached,
     prune_cache,
     run_specs,
     spec_key,
     store_cached,
 )
-from repro.machine import ExperimentSpec
+from repro.machine import ExperimentResult, ExperimentSpec, run_experiment
 from repro.sim.engine import Engine
 
 
@@ -89,6 +93,48 @@ def test_corrupt_cache_entry_is_recomputed(scale, tmp_path):
     result = run_specs([spec], cache_dir=cache)[0]
     assert not result.from_cache
     assert result.engine_steps > 0
+
+
+@pytest.fixture(scope="module")
+def stored_entry(tmp_path_factory):
+    """A real cache entry whose interactive sweep log carries packed text."""
+    cache = tmp_path_factory.mktemp("entry")
+    spec = ExperimentSpec.interactive_alone(tiny(), 0.0, sweeps=4)
+    store_cached(cache, "k", run_experiment(spec))
+    return cache, (cache / "k.pkl").read_bytes()
+
+
+def _mutations():
+    truncate = st.integers(0, 10**6).map(lambda n: ("truncate", n))
+    flip = st.tuples(st.integers(0, 10**6), st.integers(1, 255)).map(
+        lambda pair: ("flip",) + pair
+    )
+    noise = st.binary(max_size=512).map(lambda data: ("noise", data))
+    return st.one_of(truncate, flip, noise)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutation=_mutations())
+def test_damaged_cache_entry_loads_as_a_miss(stored_entry, mutation):
+    """Truncated, bit-flipped or random bytes never escape ``load_cached``
+    as an exception: a damaged entry is a miss, or (rarely) still a result."""
+    cache, pristine = stored_entry
+    if mutation[0] == "truncate":
+        data = pristine[: mutation[1] % len(pristine)]
+    elif mutation[0] == "flip":
+        position = mutation[1] % len(pristine)
+        data = bytearray(pristine)
+        data[position] ^= mutation[2]
+        data = bytes(data)
+    else:
+        data = mutation[1]
+    (cache / "bad.pkl").write_bytes(data)
+    loaded = load_cached(cache, "bad")
+    assert loaded is None or isinstance(loaded, ExperimentResult)
 
 
 def test_parallel_pool_path_matches_serial(scale):

@@ -189,6 +189,26 @@ class TestInlineSweep:
         adopted = [o for o in resumed.outcomes if o.attempts == 0]
         assert len(adopted) == 1
 
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_resume_reruns_a_success_whose_result_is_gone(self, tmp_path, damage):
+        specs = synthetic_specs(3)
+        first = run_sweep(specs, tmp_path / "s", options=_quick())
+        entry = tmp_path / "s" / "cache" / f"{sweep_spec_key(specs[1])}.pkl"
+        if damage == "missing":
+            entry.unlink()
+        else:
+            entry.write_bytes(entry.read_bytes()[:-7])
+        with pytest.raises(SweepError, match="repro sweep resume"):
+            collect_report(specs, tmp_path / "s")
+        resumed = run_sweep(specs, tmp_path / "s", options=_quick(), resume=True)
+        assert resumed.digest == first.digest
+        assert collect_report(specs, tmp_path / "s").digest == first.digest
+        # Journaled again: the later line wins, with its own attempt count.
+        status = sweep_status(tmp_path / "s")
+        assert status["ok"] == 3 and status["done"] == 3
+        records = read_journal(tmp_path / "s" / "journal.jsonl")
+        assert [r["index"] for r in records if r.get("event") == "spec"] == [0, 1, 2, 1]
+
     def test_resume_tolerates_torn_journal_tail(self, tmp_path):
         specs = synthetic_specs(5)
         first = run_sweep(specs, tmp_path / "s", options=_quick())
