@@ -192,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--spec",
         default=None,
-        help="JSON experiment spec (a file path or an inline literal); "
-        "overrides --benchmark/--version/--sleep",
+        help="JSON experiment spec (a file path or an inline literal): the "
+        "scale/overrides/faults/processes/policy subset of the scenario "
+        "format; overrides --benchmark/--version/--sleep",
     )
     run_parser.add_argument(
         "--version",
@@ -470,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         default=None,
         help="JSON grid (file path or inline): axes over benchmark/version/"
-        "sleep/policy/fault_seed, plus scale/overrides/faults",
+        "sleep/policy/fault_seed, plus scale/overrides/faults; a sweep "
+        "scenario with its axes one level up",
     )
     sweep_run_parser.add_argument(
         "--synthetic",
@@ -614,8 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     record_parser.add_argument(
         "--spec",
         default=None,
-        help="JSON experiment spec (file path or inline); overrides "
-        "--benchmark/--version/--sleep",
+        help="JSON experiment spec (file path or inline): the scale/"
+        "overrides/faults/processes/policy subset of the scenario format; "
+        "overrides --benchmark/--version/--sleep",
     )
     record_parser.add_argument(
         "--version",
@@ -731,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.add_argument(
         "scenario",
         nargs="+",
-        help="scenario template name(s) or *.json file path(s)",
+        help="scenario template name(s), *.json file path(s), or inline JSON",
     )
     _add_scenario_dirs(validate_parser)
     validate_parser.set_defaults(handler=_handler("run", "cmd_validate"))

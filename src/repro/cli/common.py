@@ -10,9 +10,15 @@ from pathlib import Path
 from repro.config import SimScale, paper, small, tiny
 from repro.experiments.report import format_process_table
 from repro.faults import EMPTY_PLAN, FaultPlan
-from repro.machine import ExperimentSpec, SpecError, WorkloadProcessSpec
-from repro.scenarios import ScenarioError, builtin_registry
-from repro.trace.workload import trace_process_spec
+from repro.jsontypes import expect, reject_unknown
+from repro.machine import ExperimentSpec, SpecError
+from repro.scenarios import (
+    ScenarioError,
+    builtin_registry,
+    compile_faults,
+    compile_scenario,
+    load_scenario_file,
+)
 
 SCALES = {"tiny": tiny, "small": small, "paper": paper}
 
@@ -47,10 +53,14 @@ def faults_from_args(args: argparse.Namespace) -> FaultPlan:
     """The fault plan requested by ``--faults`` / ``--fault-seed``."""
     plan = EMPTY_PLAN
     if getattr(args, "faults", None) is not None:
-        plan = FaultPlan.from_dict(load_json_argument(args.faults))
+        plan = compile_faults(load_json_argument(args.faults))
     if getattr(args, "fault_seed", None) is not None:
         plan = plan.with_seed(args.fault_seed)
     return plan
+
+
+#: The keys of a ``--spec`` document: a subset of the scenario format.
+SPEC_KEYS = ("scale", "overrides", "faults", "processes", "policy")
 
 
 def spec_from_argument(text: str, default_scale: str) -> ExperimentSpec:
@@ -61,50 +71,24 @@ def spec_from_argument(text: str, default_scale: str) -> ExperimentSpec:
         {"scale": "tiny",
          "overrides": {"max_engine_steps": 1000000},
          "faults": {"seed": 7, "disk": {"io_error_prob": 0.05}},
+         "policy": "global-clock",
          "processes": [
              {"workload": "MATVEC", "version": "R"},
              {"workload": "EMBAR", "version": "P", "start_offset_s": 0.05},
              {"trace": "traces/MATVEC.trace"},
              {"workload": "interactive", "sleep_s": 0.1, "sweeps": 6}]}
 
+    A spec is the ``processes`` form of a scenario, compiled by
+    :mod:`repro.scenarios.schema` (``scale`` defaults to ``default_scale``).
     A ``{"trace": path}`` entry replays a recorded trace file as one of the
     mix's processes (hint version and layout come from the trace header).
     """
-    data = load_json_argument(text)
-    scale = SCALES[data.get("scale", default_scale)]()
-    overrides = data.get("overrides", {})
-    if overrides:
-        scale = scale.with_overrides(**overrides)
-    processes = []
-    for entry in data.get("processes", ()):
-        if "trace" in entry:
-            processes.append(
-                trace_process_spec(
-                    entry["trace"],
-                    start_offset_s=entry.get("start_offset_s", 0.0),
-                    name=entry.get("name"),
-                )
-            )
-        elif "workload" in entry:
-            processes.append(
-                WorkloadProcessSpec(
-                    workload=entry["workload"],
-                    version=entry.get("version", "O"),
-                    start_offset_s=entry.get("start_offset_s", 0.0),
-                    sleep_time_s=entry.get("sleep_s"),
-                    sweeps=entry.get("sweeps"),
-                    name=entry.get("name"),
-                )
-            )
-        else:
-            raise SpecError(
-                f"process entry needs a 'workload' or 'trace' key: {entry!r}"
-            )
-    faults = FaultPlan.from_dict(data["faults"]) if "faults" in data else EMPTY_PLAN
-    spec = ExperimentSpec(scale=scale, processes=tuple(processes), faults=faults)
-    if "policy" in data:
-        spec = spec.with_policy(str(data["policy"]))
-    return spec
+    data = expect(load_json_argument(text), dict, "", ScenarioError)
+    reject_unknown(data, SPEC_KEYS, "", ScenarioError)
+    if "processes" not in data:
+        raise ScenarioError("a spec needs a 'processes' list", "processes")
+    document = {"scenario": 1, "scale": default_scale, **data}
+    return compile_scenario(document).specs[0]
 
 
 def print_process_table(result, label: str) -> None:
@@ -120,8 +104,6 @@ def scenario_document(text: str, registry):
     """Resolve a scenario argument: template name, file path, or inline JSON."""
     if text in registry:
         return registry.get(text), text
-    data = load_json_argument(text)
-    if not isinstance(data, dict):
-        raise ScenarioError("a scenario must be a JSON object")
-    name = Path(text).stem if os.path.exists(text) else None
-    return data, name
+    if text.lstrip().startswith("{") and not os.path.exists(text):
+        return load_json_argument(text), None
+    return load_scenario_file(text), Path(text).stem

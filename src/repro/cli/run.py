@@ -19,7 +19,7 @@ from repro.experiments.harness import multiprogram_spec, to_multiprogram
 from repro.experiments.report import format_table
 from repro.machine import run_experiment
 from repro.obs import TraceRecorder
-from repro.scenarios import compile_scenario, load_scenario_file
+from repro.scenarios import compile_scenario
 from repro.service.jobs import run_direct
 from repro.workloads import benchmark
 
@@ -139,10 +139,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     registry = registry_from(args)
     for text in args.scenario:
-        if text in registry:
-            document, name = registry.get(text), text
-        else:
-            document, name = load_scenario_file(text), Path(text).stem
+        document, name = scenario_document(text, registry)
         compiled = compile_scenario(document, registry=registry, name=name)
         print(
             f"scenario '{compiled.name}': OK — {len(compiled.specs)} spec(s), "

@@ -22,8 +22,7 @@ from repro.experiments.sweep import (
     sweep_status,
     synthetic_specs,
 )
-from repro.faults import FaultPlan
-from repro.machine import SpecError
+from repro.scenarios import compile_faults
 from repro.workloads import benchmark
 
 
@@ -73,13 +72,9 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
             }
         }
     elif args.grid is not None:
-        data = load_json_argument(args.grid)
-        if not isinstance(data, dict):
-            raise SpecError("a sweep grid must be a JSON object")
-        grid = dict(data)
-        grid.setdefault("scale", args.scale)
-        specs = expand_grid(dict(grid))
-        describe = {"grid": grid}
+        grid = load_json_argument(args.grid)
+        specs = expand_grid(grid, default_scale=args.scale)
+        describe = {"grid": {**grid, "scale": grid.get("scale", args.scale)}}
     else:
         raise SweepError("sweep run: give --grid or --synthetic")
     print(f"sweep: {len(specs)} specs -> {args.state_dir}")
@@ -184,8 +179,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         VERSIONS[args.version],
         sleep_time_s=args.sleep,
     )
-    plan = FaultPlan.from_dict(load_json_argument(args.faults))
-    spec = spec.with_faults(plan)
+    spec = spec.with_faults(compile_faults(load_json_argument(args.faults)))
     if args.policy is not None:
         spec = spec.with_policy(args.policy)
     ensemble = EnsembleSpec(

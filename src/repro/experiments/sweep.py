@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 import os
 import time
@@ -47,7 +46,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config import SimScale, paper, small, tiny
 from repro.experiments import synthetic
 from repro.experiments.runner import (
     ExperimentFailure,
@@ -62,10 +60,11 @@ from repro.experiments.synthetic import (
     SyntheticResult,
     SyntheticSpec,
 )
-from repro.faults import EMPTY_PLAN, FaultPlan
 from repro.ioutil import append_journal_line, atomic_write_json, read_journal
 from repro.machine import ExperimentResult, ExperimentSpec, SpecError
+from repro.jsontypes import expect, reject_unknown
 from repro.obs import Bus, JsonlSink, Sink, WallClock
+from repro.scenarios.schema import ScenarioError, compile_scenario
 
 __all__ = [
     "SweepAborted",
@@ -90,8 +89,6 @@ JOURNAL_NAME = "journal.jsonl"
 META_NAME = "meta.json"
 EVENTS_NAME = "events.jsonl"
 CACHE_DIRNAME = "cache"
-
-_SCALES = {"tiny": tiny, "small": small, "paper": paper}
 
 #: Worker fault injection for sweeps (tests only): the pool's chaos.
 SweepChaos = PoolChaos
@@ -842,7 +839,6 @@ def specs_from_meta(state_dir: os.PathLike) -> List[AnySpec]:
 
 # -- grid expansion (the CLI's sweep-file format) ---------------------------
 
-
 def expand_grid(data: Dict[str, object], default_scale: str = "tiny") -> List[ExperimentSpec]:
     """Expand a declarative grid file into the cross product of its axes.
 
@@ -858,48 +854,23 @@ def expand_grid(data: Dict[str, object], default_scale: str = "tiny") -> List[Ex
              "policy": ["paging-directed", "global-clock"],
              "fault_seed": [1, 2, 3]}}
 
-    Axis order is fixed (benchmark, version, sleep, policy, fault_seed) so
-    the same grid file always expands to the same spec list — and hence
-    the same sweep identity and merged digest.
+    A grid is a ``sweep`` scenario with its axes one level up, compiled by
+    :mod:`repro.scenarios.schema` in the fixed axis order (benchmark,
+    version, sleep, policy, fault_seed), so the same grid always yields
+    the same spec list, sweep identity and merged digest.  Errors are
+    each a :class:`SpecError` naming the grid path (``axes.sleep[0]: ...``).
     """
-    data = dict(data)
-    scale_name = str(data.pop("scale", default_scale))
-    if scale_name not in _SCALES:
-        raise SpecError(
-            f"unknown scale {scale_name!r}; choose from {sorted(_SCALES)}"
+    try:
+        keys = ("scale", "overrides", "faults", "axes")
+        reject_unknown(expect(data, dict, "", ScenarioError), keys, "", ScenarioError,
+                       "sweep grid keys:")
+        document = {key: data[key] for key in ("overrides", "faults") if key in data}
+        document.update(
+            scenario=1,
+            scale=data.get("scale", default_scale),
+            sweep={"axes": data.get("axes", {})},
         )
-    scale: SimScale = _SCALES[scale_name]()
-    overrides = data.pop("overrides", {})
-    if overrides:
-        scale = scale.with_overrides(**overrides)
-    base_faults = (
-        FaultPlan.from_dict(data.pop("faults")) if "faults" in data else EMPTY_PLAN
-    )
-    axes = dict(data.pop("axes", {}))
-    if data:
-        raise SpecError(f"unknown sweep grid keys: {sorted(data)}")
-    benchmarks = list(axes.pop("benchmark", ()))
-    if not benchmarks:
-        raise SpecError("sweep grid needs a non-empty 'benchmark' axis")
-    versions = list(axes.pop("version", ["R"]))
-    sleeps = list(axes.pop("sleep", [None]))
-    policies = list(axes.pop("policy", [None]))
-    fault_seeds = list(axes.pop("fault_seed", [None]))
-    if axes:
-        raise SpecError(f"unknown sweep grid axes: {sorted(axes)}")
-    specs: List[ExperimentSpec] = []
-    for bench_name, version, sleep, policy, seed in itertools.product(
-        benchmarks, versions, sleeps, policies, fault_seeds
-    ):
-        spec = ExperimentSpec.multiprogram(
-            scale, str(bench_name).upper(), str(version).upper(), sleep_time_s=sleep
-        )
-        if seed is not None:
-            spec = spec.with_faults(base_faults.with_seed(int(seed)))
-        elif base_faults is not EMPTY_PLAN:
-            spec = spec.with_faults(base_faults)
-        if policy is not None:
-            spec = spec.with_policy(str(policy))
-        spec.validate()
-        specs.append(spec)
-    return specs
+        return list(compile_scenario(document).specs)
+    except ScenarioError as exc:
+        path = exc.path[len("sweep."):] if exc.path.startswith("sweep.") else exc.path
+        raise SpecError(f"{path}: {exc.problem}" if path else exc.problem) from exc

@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
+
+from repro.jsontypes import PathError, expect, reject_unknown
 
 __all__ = [
     "DiskFailure",
@@ -49,8 +51,9 @@ __all__ = [
 ]
 
 
-class FaultPlanError(ValueError):
-    """A :class:`FaultPlan` that cannot be realised."""
+class FaultPlanError(PathError):
+    """A :class:`FaultPlan` that cannot be realised (``path`` is the dotted
+    path of the offending value inside the plan, e.g. ``disk.io_error_prob``)."""
 
 
 class DiskIOError(Exception):
@@ -241,26 +244,38 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        """Build a plan from the CLI's JSON shape; unknown keys are errors."""
-        data = dict(data)
-        disk_data = dict(data.pop("disk", {}))
-        hints_data = dict(data.pop("hints", {}))
-        seed = data.pop("seed", 0)
-        if data:
-            raise FaultPlanError(f"unknown fault plan keys: {sorted(data)}")
-        failures = tuple(
-            DiskFailure(**entry) if isinstance(entry, dict) else DiskFailure(int(entry))
-            for entry in disk_data.pop("failures", ())
-        )
-        disk_data["degraded_disks"] = tuple(disk_data.get("degraded_disks", ()))
-        try:
-            disk = DiskFaultSpec(failures=failures, **disk_data)
-            hints = HintFaultSpec(**hints_data)
-        except TypeError as exc:
-            raise FaultPlanError(str(exc)) from None
-        plan = cls(seed=int(seed), disk=disk, hints=hints)
+        """Build a plan from the CLI's JSON shape, values kept as written.
+
+        Unknown keys and mistyped values raise errors naming their path."""
+        plan = _decode(cls, data, "")
         plan.validate()
         return plan
+
+
+def _decode(cls, data: object, path: str):
+    """One plan dataclass from JSON, each field checked against its type."""
+    data = expect(data, dict, path, FaultPlanError)
+    types = get_type_hints(cls)
+    reject_unknown(data, tuple(types), path, FaultPlanError, "fault plan key(s)")
+    values = {
+        key: _decode_value(types[key], value, f"{path}.{key}" if path else key)
+        for key, value in data.items()
+    }
+    if cls is DiskFailure and "disk" not in values:
+        raise FaultPlanError("a failure needs a 'disk' id", path)
+    return cls(**values)
+
+
+def _decode_value(kind, value: object, path: str):
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        values = expect(value, list, path, FaultPlanError)
+        return tuple(_decode_value(item, v, f"{path}[{i}]") for i, v in enumerate(values))
+    if kind is DiskFailure and not isinstance(value, dict):
+        return DiskFailure(expect(value, int, path, FaultPlanError))  # a bare spindle id
+    if is_dataclass(kind):
+        return _decode(kind, value, path)
+    return expect(value, kind, path, FaultPlanError)
 
 
 #: The default plan: nothing is ever injected, and no fault machinery is

@@ -209,10 +209,6 @@ class ExperimentSpec:
         except PolicyError as exc:
             raise SpecError(f"invalid policy: {exc}") from exc
 
-    def with_scale_overrides(self, **kwargs) -> "ExperimentSpec":
-        """Copy with top-level :class:`SimScale` fields replaced."""
-        return replace(self, scale=self.scale.with_overrides(**kwargs))
-
     def with_faults(self, faults: FaultPlan) -> "ExperimentSpec":
         """Copy with the fault plan replaced."""
         return replace(self, faults=faults)

@@ -22,6 +22,7 @@ from repro.scenarios.schema import (
     SCENARIO_FORMAT_VERSION,
     CompiledScenario,
     ScenarioError,
+    compile_faults,
     compile_scenario,
     load_scenario_file,
     scenario_digest,
@@ -40,6 +41,7 @@ __all__ = [
     "ScenarioError",
     "ScenarioRegistry",
     "builtin_registry",
+    "compile_faults",
     "compile_scenario",
     "load_scenario_file",
     "scenario_digest",

@@ -17,15 +17,20 @@ Format (version 1)::
      "record_trace": false}
 
 Instead of the ``benchmark`` shorthand a scenario may carry an explicit
-``processes`` list (the same entries ``repro run --spec`` accepts) or a
-``sweep`` object with axes (the same axes ``repro sweep run --grid``
-accepts), in which case it compiles to one spec per grid cell.  Exactly
-one of ``benchmark`` / ``processes`` / ``sweep`` must be present after
+``processes`` list or a ``sweep`` object with axes, in which case it
+compiles to one spec per grid cell (the cross product in the fixed axis
+order benchmark, version, sleep, policy, fault_seed).  Exactly one of
+``benchmark`` / ``processes`` / ``sweep`` must be present after
 ``extends`` resolution.
 
+This module is the only code that turns JSON into experiment specs: a
+``--spec`` document (``spec_from_argument``) and a ``--grid`` document
+(``expand_grid``) are rewritten into scenarios and compiled here.
+
 Validation is strict and fail-fast: unknown keys, wrong types, unknown
-benchmarks/versions/policies/scales, and malformed fault plans are all
-rejected with a :class:`ScenarioError` whose message starts with the
+benchmarks/versions/policies/scales, mistyped overrides, sweep axis
+values and malformed fault plans are all rejected — before any spec is
+built — with a :class:`ScenarioError` whose message starts with the
 JSON path of the offending value (``processes[1].version: ...``), so a
 `repro validate` failure points at the exact line to fix.
 
@@ -38,14 +43,17 @@ content-addressed cache keys are stable across submitters and restarts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import SimScale, paper, small, tiny
 from repro.core.runtime.policies import VERSIONS
 from repro.faults import EMPTY_PLAN, FaultPlan, FaultPlanError
+from repro.jsontypes import PathError, expect, reject_unknown
 from repro.machine import (
     INTERACTIVE,
     TRACE,
@@ -60,6 +68,7 @@ __all__ = [
     "SCENARIO_FORMAT_VERSION",
     "CompiledScenario",
     "ScenarioError",
+    "compile_faults",
     "compile_scenario",
     "load_scenario_file",
     "merge_documents",
@@ -104,19 +113,15 @@ _PROCESS_KEYS = {
 
 _SWEEP_AXES = ("benchmark", "version", "sleep", "policy", "fault_seed")
 
+_WORKLOADS = {*BENCHMARKS, INTERACTIVE}
 
-class ScenarioError(ValueError):
-    """A scenario that cannot be loaded, validated, or compiled.
+#: ``SimScale`` field name -> annotated type name, for ``overrides``.
+_SCALE_FIELDS = {f.name: getattr(f.type, "__name__", f.type) for f in fields(SimScale)}
 
-    ``path`` is the JSON path of the offending value (empty for
-    document-level problems); ``str()`` always leads with it so CLI and
-    HTTP error surfaces are path-precise for free.
-    """
 
-    def __init__(self, problem: str, path: str = "") -> None:
-        self.path = path
-        self.problem = problem
-        super().__init__(f"{path}: {problem}" if path else problem)
+class ScenarioError(PathError):
+    """A scenario that cannot be loaded, validated, or compiled (``path``
+    is the JSON path of the offending value)."""
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,8 @@ class CompiledScenario:
     ``document`` is the merged (post-``extends``), validated document —
     the canonical form :func:`scenario_digest` hashes.  ``specs`` is the
     deterministic expansion: one spec for single scenarios, one per grid
-    cell for sweep scenarios (fixed axis order, like
-    :func:`repro.experiments.sweep.expand_grid`).
+    cell for sweep scenarios (fixed axis order: benchmark, version, sleep,
+    policy, fault_seed).
     """
 
     name: str
@@ -168,34 +173,50 @@ def load_scenario_file(path: os.PathLike) -> Dict[str, object]:
 # -- type helpers (every check names its path) ------------------------------
 
 
-def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"expected a string, got {value!r}", path)
+def _expect(kind: type, value, path: str):
+    return expect(value, kind, path, ScenarioError)
+
+
+_expect_str = partial(_expect, str)
+_expect_bool = partial(_expect, bool)
+_expect_dict = partial(_expect, dict)
+_expect_list = partial(_expect, list)
+_expect_int = partial(_expect, int)
+_expect_number = partial(_expect, float)
+
+
+def _member(value, path: str, what: str, known) -> str:
+    """``value`` upper-cased, if it names one of ``known``."""
+    name = _expect_str(value, path).upper()
+    if name not in known:
+        raise ScenarioError(
+            f"unknown {what} {name!r} (choose from {', '.join(sorted(known))})", path
+        )
+    return name
+
+
+_benchmark_name = partial(_member, what="benchmark", known=BENCHMARKS)
+_version_name = partial(_member, what="version", known=VERSIONS)
+
+
+def _sleep_value(value, path: str) -> Optional[float]:
+    """Null (the scale's default) or a number >= 0, as written: a sweep's
+    ``0`` stays ``0``, since sweep identity is the repr of its specs."""
+    if value is not None and _expect_number(value, path) < 0:
+        raise ScenarioError(f"expected null or a number >= 0, got {value!r}", path)
     return value
 
 
-def _expect_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"expected true/false, got {value!r}", path)
-    return value
-
-
-def _expect_dict(value, path: str) -> Dict[str, object]:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"expected an object, got {value!r}", path)
-    return value
-
-
-def _expect_list(value, path: str) -> List[object]:
-    if not isinstance(value, list):
-        raise ScenarioError(f"expected a list, got {value!r}", path)
-    return value
-
-
-def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"expected a number, got {value!r}", path)
-    return float(value)
+def _policy_spec(value, path: str) -> PolicySpec:
+    text = _expect_str(value, path)
+    try:
+        policy = PolicySpec.from_string(text)
+        # Eagerly resolve so an unregistered name fails at validate time,
+        # not at run time inside the service.
+        validate_policy(policy)
+    except PolicyError as exc:
+        raise ScenarioError(str(exc), path) from exc
+    return policy
 
 
 # -- extends resolution -----------------------------------------------------
@@ -274,13 +295,11 @@ def _resolve_extends(
 def _compile_process(entry: object, index: int) -> WorkloadProcessSpec:
     path = f"processes[{index}]"
     entry = _expect_dict(entry, path)
-    unknown = sorted(set(entry) - _PROCESS_KEYS)
-    if unknown:
-        raise ScenarioError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(sorted(_PROCESS_KEYS))})",
-            path,
-        )
+    reject_unknown(entry, sorted(_PROCESS_KEYS), path, ScenarioError)
+    start = float(_expect_number(entry.get("start_offset_s", 0.0), f"{path}.start_offset_s"))
+    if start < 0:
+        raise ScenarioError(f"negative start offset: {start}", f"{path}.start_offset_s")
+    name = _expect_str(entry["name"], f"{path}.name") if "name" in entry else None
     if "trace" in entry:
         if "workload" in entry:
             raise ScenarioError("give 'workload' or 'trace', not both", path)
@@ -288,62 +307,34 @@ def _compile_process(entry: object, index: int) -> WorkloadProcessSpec:
         from repro.trace import TraceError, trace_process_spec
 
         try:
-            return trace_process_spec(
-                trace_path,
-                start_offset_s=_expect_number(
-                    entry.get("start_offset_s", 0.0), f"{path}.start_offset_s"
-                ),
-                name=(
-                    _expect_str(entry["name"], f"{path}.name")
-                    if "name" in entry
-                    else None
-                ),
-            )
-        except (TraceError, OSError) as exc:
+            return trace_process_spec(trace_path, start_offset_s=start, name=name)
+        except (TraceError, OSError, ValueError) as exc:
             raise ScenarioError(str(exc), f"{path}.trace") from exc
     if "workload" not in entry:
         raise ScenarioError("a process needs a 'workload' or 'trace' key", path)
-    workload = _expect_str(entry["workload"], f"{path}.workload")
-    upper = workload.upper()
-    if upper == TRACE:
+    if _expect_str(entry["workload"], f"{path}.workload").upper() == TRACE:
         raise ScenarioError(
             "replay processes are written as {'trace': path}", f"{path}.workload"
         )
-    if upper != INTERACTIVE and upper not in BENCHMARKS:
-        raise ScenarioError(
-            f"unknown workload {workload!r} (choose from "
-            f"{', '.join(sorted(BENCHMARKS))}, or 'interactive')",
-            f"{path}.workload",
-        )
+    upper = _member(entry["workload"], f"{path}.workload", "workload", _WORKLOADS)
     version = entry.get("version", "O")
-    version = _expect_str(version, f"{path}.version").upper()
-    if upper != INTERACTIVE and version not in VERSIONS:
-        raise ScenarioError(
-            f"unknown version {version!r} (choose from "
-            f"{', '.join(sorted(VERSIONS))})",
-            f"{path}.version",
-        )
-    sleep_s = entry.get("sleep_s")
+    if upper == INTERACTIVE:
+        version = _expect_str(version, f"{path}.version").upper()
+    else:
+        version = _version_name(version, f"{path}.version")
+    sleep_s = _sleep_value(entry.get("sleep_s"), f"{path}.sleep_s")
     if sleep_s is not None:
-        sleep_s = _expect_number(sleep_s, f"{path}.sleep_s")
+        sleep_s = float(sleep_s)
     sweeps = entry.get("sweeps")
-    if sweeps is not None:
-        if isinstance(sweeps, bool) or not isinstance(sweeps, int) or sweeps <= 0:
-            raise ScenarioError(
-                f"expected a positive integer, got {sweeps!r}", f"{path}.sweeps"
-            )
-    start = _expect_number(entry.get("start_offset_s", 0.0), f"{path}.start_offset_s")
-    if start < 0:
-        raise ScenarioError(f"negative start offset: {start}", f"{path}.start_offset_s")
+    if sweeps is not None and _expect_int(sweeps, f"{path}.sweeps") <= 0:
+        raise ScenarioError(f"expected a positive integer, got {sweeps!r}", f"{path}.sweeps")
     return WorkloadProcessSpec(
-        workload=upper if upper == INTERACTIVE else workload.upper(),
+        workload=upper,
         version=version,
         start_offset_s=start,
         sleep_time_s=sleep_s,
         sweeps=sweeps,
-        name=(
-            _expect_str(entry["name"], f"{path}.name") if "name" in entry else None
-        ),
+        name=name,
     )
 
 
@@ -357,41 +348,53 @@ def _compile_scale(document: Dict[str, object]) -> SimScale:
             "scale",
         )
     scale = _SCALES[scale_name]()
-    overrides = document.get("overrides")
-    if overrides is not None:
-        overrides = _expect_dict(overrides, "overrides")
-        for key, value in overrides.items():
-            try:
-                scale = scale.with_overrides(**{key: value})
-            except TypeError:
-                raise ScenarioError(
-                    f"unknown platform knob {key!r}", f"overrides.{key}"
-                ) from None
-    return scale
+    overrides = _expect_dict(document.get("overrides", {}), "overrides")
+    values = {key: _override_value(key, value) for key, value in overrides.items()}
+    return scale.with_overrides(**values) if values else scale
 
 
-def _compile_faults(document: Dict[str, object]) -> FaultPlan:
-    if "faults" not in document:
-        return EMPTY_PLAN
-    faults = _expect_dict(document["faults"], "faults")
+def _override_value(key: str, value: object) -> object:
+    """``value`` checked against the type of the ``SimScale`` field ``key``."""
+    path = f"overrides.{key}"
+    kind = _SCALE_FIELDS.get(key)
+    if kind is None:
+        raise ScenarioError(f"unknown platform knob {key!r}", path)
+    if kind == "tuple":
+        items = _expect_list(value, path)
+        return tuple(_expect_number(item, f"{path}[{i}]") for i, item in enumerate(items))
+    checks = {"int": _expect_int, "float": _expect_number, "str": _expect_str}
+    if kind not in checks:
+        raise ScenarioError(f"{key!r} holds a nested {kind} and cannot be overridden", path)
+    return checks[kind](value, path)
+
+
+def compile_faults(value: object, path: str = "faults") -> FaultPlan:
+    """A scenario's ``faults`` or a ``--faults`` plan; errors name
+    ``path`` joined with the plan's own path (``faults.seed``)."""
+    faults = _expect_dict(value, path)
     try:
         return FaultPlan.from_dict(faults)
     except FaultPlanError as exc:
-        raise ScenarioError(str(exc), "faults") from exc
+        raise ScenarioError(
+            exc.problem, f"{path}.{exc.path}" if exc.path else path
+        ) from exc
 
 
-def _compile_policy(document: Dict[str, object]) -> Optional[PolicySpec]:
-    if "policy" not in document:
-        return None
-    text = _expect_str(document["policy"], "policy")
+def _spec(
+    scale: SimScale,
+    processes: Tuple[WorkloadProcessSpec, ...],
+    faults: FaultPlan,
+    policy: Optional[PolicySpec],
+    path: str = "",
+) -> ExperimentSpec:
+    spec = ExperimentSpec(scale=scale, processes=processes, faults=faults)
+    if policy is not None:
+        spec = spec.with_policy(policy)
     try:
-        policy = PolicySpec.from_string(text)
-        # Eagerly resolve so an unregistered name fails at validate time,
-        # not at run time inside the service.
-        validate_policy(policy)
-    except PolicyError as exc:
-        raise ScenarioError(str(exc), "policy") from exc
-    return policy
+        spec.validate()
+    except SpecError as exc:
+        raise ScenarioError(str(exc), path) from exc
+    return spec
 
 
 def _compile_single(
@@ -415,41 +418,22 @@ def _compile_single(
             _compile_process(entry, index) for index, entry in enumerate(entries)
         )
     else:
-        benchmark = _expect_str(document["benchmark"], "benchmark").upper()
-        if benchmark not in BENCHMARKS:
-            raise ScenarioError(
-                f"unknown benchmark {benchmark!r} (choose from "
-                f"{', '.join(sorted(BENCHMARKS))})",
-                "benchmark",
-            )
-        version = _expect_str(document.get("version", "R"), "version").upper()
-        if version not in VERSIONS:
-            raise ScenarioError(
-                f"unknown version {version!r} (choose from "
-                f"{', '.join(sorted(VERSIONS))})",
-                "version",
-            )
-        sleep = document.get("sleep")
+        benchmark = _benchmark_name(document["benchmark"], "benchmark")
+        version = _version_name(document.get("version", "R"), "version")
+        sleep = _sleep_value(document.get("sleep"), "sleep")
         if sleep is not None:
-            sleep = _expect_number(sleep, "sleep")
+            sleep = float(sleep)
         with_interactive = _expect_bool(document.get("interactive", True), "interactive")
-        spec = ExperimentSpec.multiprogram(
+        processes = ExperimentSpec.multiprogram(
             scale, benchmark, version, sleep_time_s=sleep,
             with_interactive=with_interactive,
-        )
-        processes = spec.processes
-    spec = ExperimentSpec(scale=scale, processes=processes, faults=faults)
-    if policy is not None:
-        spec = spec.with_policy(policy)
-    try:
-        spec.validate()
-    except SpecError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return (spec,)
+        ).processes
+    return (_spec(scale, processes, faults, policy),)
 
 
 def _compile_sweep(
     document: Dict[str, object],
+    scale: SimScale,
     faults: FaultPlan,
     policy: Optional[PolicySpec],
 ) -> Tuple[ExperimentSpec, ...]:
@@ -465,37 +449,39 @@ def _compile_sweep(
             "a sweep scenario selects policies via sweep.axes.policy", "policy"
         )
     sweep = _expect_dict(document["sweep"], "sweep")
-    unknown = sorted(set(sweep) - {"axes"})
-    if unknown:
+    reject_unknown(sweep, ("axes",), "sweep", ScenarioError)
+    axes = _expect_dict(sweep.get("axes", {}), "sweep.axes")
+    reject_unknown(axes, _SWEEP_AXES, "sweep.axes", ScenarioError, "sweep grid axes:")
+
+    def axis(name: str, default: list, check: Callable[[object, str], object]) -> list:
+        if name not in axes:
+            return default
+        path = f"sweep.axes.{name}"
+        values = _expect_list(axes[name], path)
+        return [check(value, f"{path}[{index}]") for index, value in enumerate(values)]
+
+    # Every value is checked before any spec is built.
+    benchmarks = axis("benchmark", [], _benchmark_name)
+    if not benchmarks:
         raise ScenarioError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} (known: 'axes')",
+            "a sweep needs a non-empty 'benchmark' axis", "sweep.axes.benchmark"
+        )
+    versions = axis("version", ["R"], _version_name)
+    sleeps = axis("sleep", [None], _sleep_value)
+    policies = axis("policy", [None], _policy_spec)
+    seeds = axis("fault_seed", [None], _expect_int)
+    return tuple(
+        _spec(
+            scale,
+            ExperimentSpec.multiprogram(scale, benchmark, version, sleep_time_s=sleep).processes,
+            faults if seed is None else faults.with_seed(seed),
+            cell_policy,
             "sweep",
         )
-    axes = _expect_dict(sweep.get("axes", {}), "sweep.axes")
-    unknown = sorted(set(axes) - set(_SWEEP_AXES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown axis(es) {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(_SWEEP_AXES)})",
-            "sweep.axes",
+        for benchmark, version, sleep, cell_policy, seed in itertools.product(
+            benchmarks, versions, sleeps, policies, seeds
         )
-    for axis, values in axes.items():
-        _expect_list(values, f"sweep.axes.{axis}")
-    # Reuse the sweep grid expander (fixed axis order, validated specs) so
-    # the service and `repro sweep run --grid` agree on expansion exactly.
-    from repro.experiments.sweep import expand_grid
-
-    grid: Dict[str, object] = {"axes": axes}
-    if "scale" in document:
-        grid["scale"] = document["scale"]
-    if "overrides" in document:
-        grid["overrides"] = document["overrides"]
-    if faults is not EMPTY_PLAN:
-        grid["faults"] = document["faults"]
-    try:
-        return tuple(expand_grid(grid))
-    except (SpecError, FaultPlanError, PolicyError) as exc:
-        raise ScenarioError(str(exc), "sweep.axes") from exc
+    )
 
 
 def compile_scenario(
@@ -513,12 +499,7 @@ def compile_scenario(
     """
     document = _expect_dict(document, "")
     merged = _resolve_extends(document, registry)
-    unknown = sorted(set(merged) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ScenarioError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(sorted(_TOP_LEVEL_KEYS))})"
-        )
+    reject_unknown(merged, sorted(_TOP_LEVEL_KEYS), "", ScenarioError)
     if "scenario" not in merged:
         raise ScenarioError(
             f"missing 'scenario' format version (current: {SCENARIO_FORMAT_VERSION})"
@@ -550,7 +531,8 @@ def compile_scenario(
         )
     record_trace = _expect_bool(merged.get("record_trace", False), "record_trace")
     scale = _compile_scale(merged)
-    faults = _compile_faults(merged)
+    faults = compile_faults(merged["faults"]) if "faults" in merged else EMPTY_PLAN
+    policy = _policy_spec(merged["policy"], "policy") if "policy" in merged else None
     scenario_name = name or merged.get("name")
     if scenario_name is not None:
         scenario_name = _expect_str(scenario_name, "name")
@@ -562,9 +544,9 @@ def compile_scenario(
                 "trace recording applies to single scenarios, not sweeps",
                 "record_trace",
             )
-        specs = _compile_sweep(merged, faults, _compile_policy(merged))
+        specs = _compile_sweep(merged, scale, faults, policy)
     else:
-        specs = _compile_single(merged, scale, faults, _compile_policy(merged))
+        specs = _compile_single(merged, scale, faults, policy)
     return CompiledScenario(
         name=scenario_name or "inline",
         description=description,

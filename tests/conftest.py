@@ -25,3 +25,12 @@ def small_scale():
 @pytest.fixture
 def kernel(engine, scale):
     return Kernel.boot(engine, scale)
+
+
+@pytest.fixture()
+def server(tmp_path):
+    """A live experiment server on a fresh state directory."""
+    from repro.service import ExperimentServer
+
+    with ExperimentServer(tmp_path / "state", workers=2) as instance:
+        yield instance

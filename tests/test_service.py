@@ -171,11 +171,6 @@ class TestEventClock:
 
 
 class TestHTTP:
-    @pytest.fixture()
-    def server(self, tmp_path):
-        with ExperimentServer(tmp_path / "state", workers=2) as instance:
-            yield instance
-
     def test_healthz_reports_version(self, server):
         from repro import __version__
 
